@@ -18,13 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boundary import BoundaryCondition, ReconstructionSpec, parse_boundary_text
+from .boundary import ReconstructionSpec, parse_boundary_text
 from .crosscheck import simulate
 from .errors import KLStabError
 from .kldet import kl_curve, write_curve_csv
 from .scheme import SchemeTemplate, TEMPLATES, custom_template, template
 from .verdict import (
     DEFAULT_LAMBDA_MIN,
+    _build_boundary,
     check,
     filter_lambda_grid,
     sweep,
@@ -112,7 +113,7 @@ def run(config: RunConfig) -> int:
             scheme = tmpl(lam)
             curve = kl_curve(
                 scheme,
-                _as_condition(family(sigma), scheme),
+                _build_boundary(family(sigma), scheme),
                 n_init=config.samples,
                 tol_unit=config.tol_unit,
             )
@@ -131,7 +132,7 @@ def run(config: RunConfig) -> int:
         scheme = tmpl(lam)
         curve = kl_curve(
             scheme,
-            _as_condition(family(sigma), scheme),
+            _build_boundary(family(sigma), scheme),
             n_init=config.samples,
             tol_unit=config.tol_unit,
         )
@@ -162,7 +163,7 @@ def run(config: RunConfig) -> int:
         lam = _single(lams, "lambda")
         sigma = _single(sigmas, "sigma")
         scheme = tmpl(lam)
-        bc = _as_condition(family(sigma), scheme)
+        bc = _build_boundary(family(sigma), scheme)
         f = np.zeros(config.grid_size)
         g = np.zeros((config.steps, scheme.r))
         g[0, -1] = 1.0
@@ -180,14 +181,6 @@ def run(config: RunConfig) -> int:
         return 0
 
     raise ValueError(f"unknown command {config.command!r}")
-
-
-def _as_condition(spec, scheme) -> BoundaryCondition:
-    if isinstance(spec, ReconstructionSpec):
-        return BoundaryCondition.from_reconstruction(spec, scheme)
-    if isinstance(spec, BoundaryCondition):
-        return spec
-    return BoundaryCondition.from_matrix(np.asarray(spec, dtype=float), scheme)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

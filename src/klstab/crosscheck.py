@@ -56,9 +56,8 @@ def assemble_quasi_toeplitz(
     return QuasiToeplitzMatrix(J=J, entries=M)
 
 
-def spectral_radius(M: QuasiToeplitzMatrix, tol: float = 1e-10) -> float:
+def spectral_radius(M: QuasiToeplitzMatrix) -> float:
     """Dominant eigenvalue modulus of the truncated operator."""
-    del tol  # dense solve is exact to machine precision
     try:
         return float(np.max(np.abs(np.linalg.eigvals(M.entries))))
     except np.linalg.LinAlgError as exc:

@@ -9,6 +9,13 @@ are resolved by a Rouche perturbation: nudge z radially outward by half the
 certified radius and count how many nearby roots land inside the disk, i.e.
 how many members of the cluster arrived from the inside.
 
+Each kernel has one implementation over a batch of z values: characteristic
+rows (``_char_rows``), the monic product (``_monic_product``), the column fold
+(``_fold_columns``) and the determinant (``_delta_batch``).  The scalar names
+``sigmas_from_roots``, ``reduce_Btilde`` and ``delta`` are one-row calls of
+them.  Points whose roots all sit clear of the circle take the batched split;
+the rest go one at a time through ``select_stable_roots``.
+
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
 around the origin decides stability.
@@ -27,13 +34,13 @@ from .errors import (
     MultipleRoot,
     RefinementExhausted,
     SelectionFailure,
+    SeparationFailure,
     ShapeMismatch,
 )
-from .poly import ComplexPolynomial, find_roots, find_roots_many, min_modulus_on_circle
-from .scheme import Scheme, characteristic_coefficients
+from .poly import ComplexPolynomial, RootSet, find_roots_many, min_modulus_on_circle
+from .scheme import TOL_UNIT, Scheme, characteristic_coefficients, hersh_split
 from .winding import needs_refinement
 
-TOL_UNIT = 1e-9
 CLUSTER_TOL = 1e-7
 EPSILON_CAP = 0.1
 MAX_REFINE_DEPTH = 20
@@ -104,15 +111,21 @@ def _cluster_indices(roots: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[i
     return list(groups.values())
 
 
+def _monic_product(roots: np.ndarray) -> np.ndarray:
+    """Ascending s_0..s_{r-1} of prod_j (X - roots[:, j]), one row per (n, r) row."""
+    n, r = roots.shape
+    coeffs = np.ones((n, 1), dtype=complex)
+    for j in range(r):
+        grown = np.zeros((n, coeffs.shape[1] + 1), dtype=complex)
+        grown[:, 1:] = coeffs
+        grown[:, :-1] -= roots[:, j : j + 1] * coeffs
+        coeffs = grown
+    return coeffs[:, :r]
+
+
 def sigmas_from_roots(roots) -> tuple[complex, ...]:
     """Ascending coefficients s_0..s_{r-1} of the monic product prod (X - kappa)."""
-    coeffs = np.array([1.0 + 0j])
-    for k in roots:
-        grown = np.zeros(len(coeffs) + 1, dtype=complex)
-        grown[1:] = coeffs
-        grown[:-1] -= k * coeffs
-        coeffs = grown
-    return tuple(coeffs[:-1])
+    return tuple(_monic_product(np.asarray(roots, dtype=complex).reshape(1, -1))[0])
 
 
 def select_stable_roots(
@@ -130,25 +143,21 @@ def select_stable_roots(
     z = complex(z)
     if abs(z) < 1.0 - tol_unit:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
-    coeffs = characteristic_coefficients(s, z)
-    rows = _trim_batch(np.array([coeffs]), s.r)
-    roots = find_roots_many(rows)[0][0]
-    moduli = np.abs(roots)
+    roots, residuals = find_roots_many(_char_rows(s, np.array([z])))
+    roots = roots[0]
 
     if abs(z) > 1.0 + tol_unit:
-        inside = [x for x, m in zip(roots, moduli) if m < 1.0 - tol_unit]
-        ambiguous = [x for x, m in zip(roots, moduli) if abs(m - 1.0) <= tol_unit]
-        if ambiguous or len(inside) != s.r:
+        try:
+            chosen, _ = hersh_split(
+                s, z, RootSet(tuple(roots), float(residuals[0])), tol_unit
+            )
+        except SeparationFailure as exc:
             # the root-count separation holds for every |z| > 1 of a
             # whole-line-stable scheme, so a miscount signals its violation
-            raise CauchyViolation(
-                f"root split failed at z={z}: {len(inside)} inside, "
-                f"{len(ambiguous)} on the circle band"
-            )
-        chosen = inside
+            raise CauchyViolation(f"root split failed: {exc}") from exc
         tags = [STRICT_INSIDE] * len(chosen)
     else:
-        chosen, tags = _select_on_circle(s, z, roots, moduli, tol_unit)
+        chosen, tags = _select_on_circle(s, z, roots, np.abs(roots), tol_unit)
 
     chosen = sorted(chosen, key=lambda x: (x.real, x.imag))
     return StableRootSet(
@@ -207,7 +216,7 @@ def _roots_from_inside(s, z, roots, cluster_idx, tol_unit) -> int:
         raise SelectionFailure(
             f"cannot isolate boundary cluster at {center}: radius {eps} vs spread {spread}"
         )
-    p_z = ComplexPolynomial(characteristic_coefficients(s, z))
+    p_z = ComplexPolynomial(_char_rows(s, np.array([z]))[0])
     eta = (1.0 + eps) ** (-s.r) * min_modulus_on_circle(p_z, center, eps)
     if eta == 0.0:
         raise BoundaryAmbiguity(
@@ -218,8 +227,7 @@ def _roots_from_inside(s, z, roots, cluster_idx, tol_unit) -> int:
             f"perturbation radius eta={eta} too small to certify counts at z={z}"
         )
     z_out = (1.0 + eta / 2.0) * z
-    rows = _trim_batch(np.array([characteristic_coefficients(s, z_out)]), s.r)
-    moved = find_roots_many(rows)[0][0]
+    moved = find_roots_many(_char_rows(s, np.array([z_out])))[0][0]
     count = int(np.sum((np.abs(moved - center) < eps) & (np.abs(moved) < 1.0)))
     if count > len(members):
         raise SelectionFailure(
@@ -236,17 +244,23 @@ def reduce_Btilde(calB: np.ndarray, sigmas) -> np.ndarray:
     """
     calB = np.asarray(calB)
     r, m = calB.shape
-    sig = list(sigmas)
-    if len(sig) != r:
-        raise ShapeMismatch(f"need {r} recurrence coefficients, got {len(sig)}")
+    sig = np.asarray(sigmas, dtype=complex).reshape(1, -1)
+    if sig.shape[1] != r:
+        raise ShapeMismatch(f"need {r} recurrence coefficients, got {sig.shape[1]}")
     if m < r:
         raise ShapeMismatch(f"calB width {m} below r={r}")
-    out = calB.astype(complex).copy()
+    return _fold_columns(calB, sig)[0]
+
+
+def _fold_columns(calB: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """calB (r, m) folded with each row of the (n, r) coefficients: (n, r, r)."""
+    r, m = calB.shape
+    out = np.broadcast_to(calB.astype(complex), (len(sig), r, m)).copy()
     for j in range(m - 1, r - 1, -1):
-        col = out[:, j].copy()
-        out = out[:, :j]
+        col = out[:, :, j]
+        out = out[:, :, :j]
         for i in range(r):
-            out[:, j - r + i] -= col * sig[i]
+            out[:, :, j - r + i] -= col * sig[:, i : i + 1]
     return out
 
 
@@ -254,9 +268,12 @@ def delta(
     s: Scheme, bc: BoundaryCondition, z: complex, tol_unit: float = TOL_UNIT
 ) -> complex:
     """The intrinsic determinant det(z I_r - Bt(sigma(z)))."""
-    srs = select_stable_roots(s, z, tol_unit=tol_unit)
-    bt = reduce_Btilde(bc.calB, srs.sigmas)
-    return complex(np.linalg.det(z * np.eye(s.r) - bt))
+    if s.r < 1:
+        raise ValueError("delta requires r >= 1")
+    z = complex(z)
+    if abs(z) < 1.0 - tol_unit:
+        raise ValueError(f"|z| = {abs(z)} below the unit circle band")
+    return complex(_delta_batch(s, bc, np.array([z]), tol_unit)[0])
 
 
 def basis_matrices(
@@ -311,10 +328,8 @@ def _trim_batch(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
-    base = np.zeros(s.r + s.p + 1, dtype=complex)
-    for k, a in s.coeffs.items():
-        base[s.r + k] += a
-    rows = np.tile(base, (len(zs), 1))
+    """Ascending coefficient rows of P_z, one per z, trimmed together."""
+    rows = np.tile(characteristic_coefficients(s, 0.0), (len(zs), 1))
     rows[:, s.r] -= zs
     return _trim_batch(rows, s.r)
 
@@ -322,40 +337,24 @@ def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
 def _delta_batch(
     s: Scheme, bc: BoundaryCondition, zs: np.ndarray, tol_unit: float
 ) -> np.ndarray:
-    """Delta at many z on (or near) the circle; scalar fallback off the fast path."""
+    """Delta at each z of a 1-D array on or outside the circle.
+
+    A point whose roots all sit clear of the circle band, r of them inside,
+    takes the batched split; any other point goes through select_stable_roots.
+    """
     r = s.r
-    rows = _char_rows(s, zs)
-    roots = find_roots_many(rows)[0]
+    roots = find_roots_many(_char_rows(s, zs))[0]
     moduli = np.abs(roots)
     inside = moduli < 1.0 - tol_unit
-    clear = np.abs(moduli - 1.0) > CLUSTER_TOL
+    clear = np.abs(moduli - 1.0) > max(CLUSTER_TOL, tol_unit)
     fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == r)
 
-    sig = np.zeros((len(zs), r), dtype=complex)
-    if np.any(fast):
-        sel = np.where(fast)[0]
-        stable = np.empty((len(sel), r), dtype=complex)
-        for pos, i in enumerate(sel):
-            stable[pos] = roots[i][inside[i]]
-        coeffs = np.ones((len(sel), 1), dtype=complex)
-        for j in range(r):
-            grown = np.zeros((len(sel), coeffs.shape[1] + 1), dtype=complex)
-            grown[:, 1:] = coeffs
-            grown[:, :-1] -= stable[:, j : j + 1] * coeffs
-            coeffs = grown
-        sig[sel] = coeffs[:, :r]
-    for i in np.where(~fast)[0]:
+    sig = np.empty((len(zs), r), dtype=complex)
+    sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, r))
+    for i in np.flatnonzero(~fast):
         sig[i] = select_stable_roots(s, complex(zs[i]), tol_unit=tol_unit).sigmas
-
-    m = bc.m
-    bt = np.broadcast_to(bc.calB.astype(complex), (len(zs), r, m)).copy()
-    for j in range(m - 1, r - 1, -1):
-        col = bt[:, :, j].copy()
-        bt = bt[:, :, :j]
-        for i in range(r):
-            bt[:, :, j - r + i] -= col * sig[:, i : i + 1]
-    zi = zs[:, None, None] * np.eye(r)[None, :, :]
-    return np.linalg.det(zi - bt)
+    bt = _fold_columns(bc.calB, sig)
+    return np.linalg.det(zs[:, None, None] * np.eye(r) - bt)
 
 
 def kl_curve(
@@ -377,44 +376,30 @@ def kl_curve(
         raise ValueError("n_init must be >= 64")
     if s.r < 1:
         raise ValueError("curve requires r >= 1")
-    thetas = list(np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False))
-    values = list(_delta_batch(s, bc, np.exp(1j * np.array(thetas)), tol_unit))
-    depths = [0] * n_init
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
+    values = _delta_batch(s, bc, np.exp(1j * thetas), tol_unit)
+    depths = np.zeros(n_init, dtype=int)
 
     while True:
-        new_thetas = []
-        insert_at = []
-        new_depths = []
-        n = len(thetas)
-        for i in range(n):
-            j = (i + 1) % n
-            a, b = values[i], values[j]
-            child = max(depths[i], depths[j]) + 1
-            if child > max_depth or not needs_refinement(a, b):
-                continue
-            right = thetas[j] if j else 2.0 * np.pi
-            new_thetas.append(0.5 * (thetas[i] + right))
-            insert_at.append(i + 1)
-            new_depths.append(child)
-        if not new_thetas:
+        # segment i runs from sample i to sample i + 1, the last one back to 0
+        flags = needs_refinement(values, np.roll(values, -1))
+        child = np.maximum(depths, np.roll(depths, -1)) + 1
+        split = np.flatnonzero(flags & (child <= max_depth))
+        if not len(split):
             break
-        new_values = _delta_batch(s, bc, np.exp(1j * np.array(new_thetas)), tol_unit)
-        for k in range(len(new_thetas) - 1, -1, -1):
-            thetas.insert(insert_at[k], new_thetas[k])
-            values.insert(insert_at[k], new_values[k])
-            depths.insert(insert_at[k], new_depths[k])
+        right = np.append(thetas[1:], 2.0 * np.pi)
+        mids = 0.5 * (thetas[split] + right[split])
+        new_values = _delta_batch(s, bc, np.exp(1j * mids), tol_unit)
+        thetas = np.insert(thetas, split + 1, mids)
+        values = np.insert(values, split + 1, new_values)
+        depths = np.insert(depths, split + 1, child[split])
 
-    varr = np.array(values)
-    unresolved = any(
-        needs_refinement(varr[i], varr[(i + 1) % len(varr)]) for i in range(len(varr))
-    )
-    if unresolved and float(np.min(np.abs(varr))) < ORIGIN_RESOLUTION:
+    # the last round's flags are those of the final curve
+    if np.any(flags) and float(np.min(np.abs(values))) < ORIGIN_RESOLUTION:
         raise RefinementExhausted(
             f"curve within {ORIGIN_RESOLUTION} of the origin at max depth"
         )
-    return KLCurve(
-        thetas=np.array(thetas), values=varr, depths=np.array(depths), closed=True
-    )
+    return KLCurve(thetas=thetas, values=values, depths=depths)
 
 
 def write_curve_csv(curve: KLCurve, path: str) -> None:

@@ -87,7 +87,8 @@ def _initial_guesses(monic_rows: np.ndarray) -> np.ndarray:
     c0 = mags[:, 0]
     rest = np.maximum(np.max(mags[:, 1:], axis=1), 1e-300)
     lower = np.maximum(c0 / (c0 + rest), upper * 1e-6)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a near-vanishing coefficient overflows its ratio; the clip caps it at upper
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = mags[:, :-1] / np.where(mags[:, 1:] == 0, 1e-300, mags[:, 1:])
     radii = np.sort(np.clip(ratios, lower[:, None], upper[:, None]), axis=1)
     ks = np.arange(d)

@@ -9,7 +9,6 @@ fifth-order Lax-Wendroff scheme, each as polynomial functions of the CFL number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -127,7 +126,6 @@ class SchemeTemplate:
 
     name: str
     builder: Callable[[float], Scheme]
-    lambda_max: float = 1.0
 
     def __call__(self, lam: float) -> Scheme:
         return self.builder(lam)
@@ -211,4 +209,4 @@ def custom_template(path: str) -> SchemeTemplate:
     def build(lam: float) -> Scheme:
         return parse_scheme_line(line, lam=lam)
 
-    return SchemeTemplate(f"custom:{path}", build, lambda_max=math.inf)
+    return SchemeTemplate(f"custom:{path}", build)

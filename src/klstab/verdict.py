@@ -11,8 +11,6 @@ numerically on the curve, which also violates the stability condition).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -151,28 +149,19 @@ def sweep(
     if list(lams) != sorted(lams) or list(sigs) != sorted(sigs):
         raise ValueError("grid values must be ascending")
 
-    cells = [(i, j) for i in range(len(lams)) for j in range(len(sigs))]
-
-    def run_cell(ij):
-        i, j = ij
-        return check(
-            s_template,
-            bc_family(sigs[j]),
-            lams[i],
-            n_init=n_init,
-            tol_unit=tol_unit,
-            max_depth=max_depth,
-        )
-
-    threads = int(os.environ.get("KLSTAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(run_cell, cells))
-    else:
-        flat = [run_cell(ij) for ij in cells]
-
     results = [
-        [flat[i * len(sigs) + j] for j in range(len(sigs))] for i in range(len(lams))
+        [
+            check(
+                s_template,
+                bc_family(sig),
+                lam,
+                n_init=n_init,
+                tol_unit=tol_unit,
+                max_depth=max_depth,
+            )
+            for sig in sigs
+        ]
+        for lam in lams
     ]
     r = s_template(max(lams)).r
     return SweepGrid(lambda_values=lams, sigma_values=sigs, results=results, r=r)

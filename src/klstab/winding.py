@@ -4,18 +4,20 @@ The index is accumulated by exact quadrant bookkeeping: each consecutive pair
 contributes its signed quadrant-boundary crossing count (0, +-1, or +-2 with
 the half-plane cross-product sign test deciding the ambiguous opposite-quadrant
 case).  The total is 4x the winding number of the sample polygon, with no
-floating-point argument accumulation to drift.
+floating-point argument accumulation to drift.  Both the count and the
+refinement predicate work on whole arrays of segments at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import OriginOnCurve
 
 ORIGIN_EPS = 1e-300
-QUARTER_TURN = math.pi / 2.0
+QUARTER_TURN = np.pi / 2.0
 PROXIMITY_FLOOR = 1e-12
 PROXIMITY_FRACTION = 0.1
 
@@ -29,41 +31,40 @@ class WindingResult:
     certified: bool
 
 
-def _quadrant(re: float, im: float) -> int:
-    if re > 0 and im >= 0:
-        return 0
-    if re <= 0 and im > 0:
-        return 1
-    if re < 0 and im <= 0:
-        return 2
-    return 3
+def _quadrant(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.select(
+        [(re > 0) & (im >= 0), (re <= 0) & (im > 0), (re < 0) & (im <= 0)],
+        [0, 1, 2],
+        3,
+    )
 
 
-def _segment_distance_to_origin(a: complex, b: complex) -> float:
-    dx, dy = b.real - a.real, b.imag - a.imag
-    denom = dx * dx + dy * dy
-    if denom == 0.0:
-        return abs(a)
-    t = -(a.real * dx + a.imag * dy) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(complex(a.real + t * dx, a.imag + t * dy))
-
-
-def needs_refinement(a: complex, b: complex) -> bool:
-    """True when the segment a -> b cannot be trusted by the quadrant bookkeeping.
+def needs_refinement(a, b):
+    """True where the segment a -> b cannot be trusted by the quadrant bookkeeping.
 
     Either the argument change strictly exceeds a quarter turn, or the segment
-    passes within max(1e-12, 0.1 * min(|a|, |b|)) of the origin.
+    passes within max(1e-12, 0.1 * min(|a|, |b|)) of the origin.  Two scalars
+    give a bool; arrays give a flag array of their broadcast shape.
     """
-    a, b = complex(a), complex(b)
-    if abs(a) == 0.0 or abs(b) == 0.0:
-        return True
-    cross = a.real * b.imag - a.imag * b.real
-    dot = a.real * b.real + a.imag * b.imag
-    if abs(math.atan2(cross, dot)) > QUARTER_TURN:
-        return True
-    threshold = max(PROXIMITY_FLOOR, PROXIMITY_FRACTION * min(abs(a), abs(b)))
-    return _segment_distance_to_origin(a, b) < threshold
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    with np.errstate(all="ignore"):
+        mod_a = np.hypot(a.real, a.imag)
+        mod_b = np.hypot(b.real, b.imag)
+        cross = a.real * b.imag - a.imag * b.real
+        dot = a.real * b.real + a.imag * b.imag
+        turn = np.abs(np.arctan2(cross, dot)) > QUARTER_TURN
+        # distance from the origin to the segment; a point segment is its end
+        dx, dy = b.real - a.real, b.imag - a.imag
+        denom = dx * dx + dy * dy
+        t = np.clip(-(a.real * dx + a.imag * dy) / denom, 0.0, 1.0)
+        t = np.where(denom == 0.0, 0.0, t)
+        dist = np.hypot(a.real + t * dx, a.imag + t * dy)
+        threshold = np.maximum(
+            PROXIMITY_FLOOR, PROXIMITY_FRACTION * np.minimum(mod_a, mod_b)
+        )
+        flags = (mod_a == 0.0) | (mod_b == 0.0) | turn | (dist < threshold)
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 def winding_number(samples) -> WindingResult:
@@ -74,34 +75,31 @@ def winding_number(samples) -> WindingResult:
     ``certified`` is True when every segment satisfies the refinement predicate,
     in which case the polygon index equals the underlying curve's index.
     """
-    pts = [complex(v) for v in samples]
+    pts = np.asarray(samples, dtype=complex)
     if len(pts) < 2:
         raise ValueError("need at least 2 samples")
-    min_dist = math.inf
-    for v in pts:
-        m = abs(v)
-        if m < ORIGIN_EPS:
-            raise OriginOnCurve(f"sample at {v} is numerically the origin")
-        min_dist = min(min_dist, m)
+    mods = np.hypot(pts.real, pts.imag)
+    at_origin = np.flatnonzero(mods < ORIGIN_EPS)
+    if len(at_origin):
+        raise OriginOnCurve(f"sample at {pts[at_origin[0]]} is numerically the origin")
 
-    total = 0
-    certified = True
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if needs_refinement(a, b):
-            certified = False
-        d = (_quadrant(b.real, b.imag) - _quadrant(a.real, a.imag)) % 4
-        if d == 0:
-            continue
-        if d == 1:
-            total += 1
-        elif d == 3:
-            total -= 1
-        else:
-            cross = a.real * b.imag - a.imag * b.real
-            if cross == 0.0:
-                raise OriginOnCurve(f"segment {a} -> {b} passes through the origin")
-            total += 2 if cross > 0 else -2
+    nxt = np.roll(pts, -1)
+    quadrants = _quadrant(pts.real, pts.imag)
+    steps = (np.roll(quadrants, -1) - quadrants) % 4
+    # opposite quadrants: the side of the origin the segment passes decides
+    half = steps == 2
+    cross = pts.real * nxt.imag - pts.imag * nxt.real
+    through = np.flatnonzero(half & (cross == 0.0))
+    if len(through):
+        i = through[0]
+        raise OriginOnCurve(f"segment {pts[i]} -> {nxt[i]} passes through the origin")
+    total = int(
+        np.sum(steps == 1)
+        - np.sum(steps == 3)
+        + np.sum(np.where(cross[half] > 0, 2, -2))
+    )
     assert total % 4 == 0, "quadrant transitions must telescope to a multiple of 4"
-    return WindingResult(index=total // 4, min_distance=min_dist, certified=certified)
+    certified = not np.any(needs_refinement(pts, nxt))
+    return WindingResult(
+        index=total // 4, min_distance=float(np.min(mods)), certified=certified
+    )

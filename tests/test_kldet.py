@@ -19,6 +19,7 @@ from klstab.kldet import (
     write_curve_csv,
 )
 from klstab.scheme import Scheme, characteristic_polynomial, template
+from klstab.verdict import check
 from klstab.winding import winding_number
 
 
@@ -235,6 +236,40 @@ def test_kl_curve_thetas_strictly_increasing():
     assert np.all(np.diff(curve.thetas) > 0)
     assert curve.thetas[0] >= 0.0 and curve.thetas[-1] < 2 * np.pi
     assert curve.closed
+
+
+# Sample sets recorded before the refinement loop became array operations:
+# samples per bisection depth, and the positions and depths of the refined
+# samples in the final curve.  Together with the initial grid these fix every
+# theta, so the loop must reproduce exactly the same sample set.
+@pytest.mark.parametrize(
+    "name,d,sigma,lam,n_init,per_depth,refined",
+    [
+        ("o3", 3, -0.4, 0.4, 256, [256], []),
+        ("lw5", 5, -0.4, 0.5, 256, [256], []),
+        ("o3", 3, -0.49, 0.05, 64, [64, 2], [(1, 1), (65, 1)]),
+        (
+            "lw5",
+            5,
+            -0.49,
+            0.05,
+            64,
+            [64, 2, 4],
+            [(1, 2), (2, 1), (3, 2), (67, 2), (68, 1), (69, 2)],
+        ),
+    ],
+)
+def test_kl_curve_sample_set_pinned(name, d, sigma, lam, n_init, per_depth, refined):
+    tmpl = template(name)
+    curve = kl_curve(tmpl(lam), recon_bc(tmpl, lam, d, 0, sigma), n_init=n_init)
+    assert len(curve) == sum(per_depth)
+    assert int(np.max(curve.depths)) == len(per_depth) - 1
+    assert np.bincount(curve.depths).tolist() == per_depth
+    positions = np.flatnonzero(curve.depths)
+    assert list(zip(positions.tolist(), curve.depths[positions].tolist())) == refined
+    verdict = check(tmpl, ReconstructionSpec(d, 0, sigma), lam, n_init=n_init)
+    assert verdict.diagnostics["curve_samples"] == sum(per_depth)
+    assert verdict.diagnostics["max_refine_depth"] == len(per_depth) - 1
 
 
 def test_kl_curve_continuity_bound():
