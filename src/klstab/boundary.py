@@ -24,6 +24,7 @@ from .errors import ShapeMismatch, SingularYPlus
 from .scheme import Scheme
 
 PIVOT_RATIO_MIN = 1e-13
+CALB_REBUILD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,10 @@ class BoundaryCondition:
     def r(self) -> int:
         return self.B.shape[0]
 
-    def validate(self, s: Scheme, tol: float = 1e-10) -> None:
+    def validate(self, s: Scheme) -> None:
         fresh = build_calB(self.B, s)
         err = float(np.max(np.abs(fresh - self.calB)))
-        if err > tol * (1.0 + float(np.max(np.abs(fresh)))):
+        if err > CALB_REBUILD_TOL * (1.0 + float(np.max(np.abs(fresh)))):
             raise ValueError(f"stored calB deviates from rebuild by {err:.3e}")
 
     @classmethod

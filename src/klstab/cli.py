@@ -14,7 +14,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,22 +34,6 @@ from .verdict import (
 )
 
 _RECON_RE = re.compile(r"^[Rr](\d+),(-?\d+)$")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scheme_spec: str
-    boundary_spec: str
-    lam: str
-    sigma: str
-    samples: int
-    out: str | None
-    curve_out: str | None
-    tol_unit: float
-    lambda_min: float
-    grid_size: int
-    steps: int
 
 
 def _parse_values(text: str, what: str) -> list[float]:
@@ -97,109 +81,105 @@ def _single(values: list[float], what: str) -> float:
     return values[0]
 
 
-def run(config: RunConfig) -> int:
-    tmpl = _scheme_template(config.scheme_spec)
-    family = _boundary_family(config.boundary_spec)
-    lams = _parse_values(config.lam, "lambda")
-    sigmas = _parse_values(config.sigma, "sigma")
+def run(args: argparse.Namespace) -> int:
+    tmpl = _scheme_template(args.scheme)
+    family = _boundary_family(args.boundary)
+    lams = _parse_values(args.lam, "lambda")
+    sigmas = _parse_values(args.sigma, "sigma")
 
-    if config.command == "check":
+    if args.command == "check":
         lam = _single(lams, "lambda")
         sigma = _single(sigmas, "sigma")
-        verdict = check(
-            tmpl, family(sigma), lam, n_init=config.samples, tol_unit=config.tol_unit
-        )
-        if config.curve_out and verdict.certified:
+        verdict = check(tmpl, family(sigma), lam, n_init=args.samples)
+        if args.curve_out and verdict.certified:
             scheme = tmpl(lam)
             curve = kl_curve(
-                scheme,
-                _build_boundary(family(sigma), scheme),
-                n_init=config.samples,
-                tol_unit=config.tol_unit,
+                scheme, _build_boundary(family(sigma), scheme), n_init=args.samples
             )
-            write_curve_csv(curve, config.curve_out)
+            write_curve_csv(curve, args.curve_out)
         w = "na" if verdict.winding is None else verdict.winding
         z = "na" if verdict.unstable_zeros is None else verdict.unstable_zeros
         print(f"status={verdict.status} winding={w} zeros={z}")
         return 0
 
-    if config.command == "curve":
+    if args.command == "curve":
         lam = _single(lams, "lambda")
         sigma = _single(sigmas, "sigma")
-        out = config.out or config.curve_out
-        if not out:
+        if not args.out:
             raise ValueError("curve requires --out")
         scheme = tmpl(lam)
         curve = kl_curve(
-            scheme,
-            _build_boundary(family(sigma), scheme),
-            n_init=config.samples,
-            tol_unit=config.tol_unit,
+            scheme, _build_boundary(family(sigma), scheme), n_init=args.samples
         )
-        write_curve_csv(curve, out)
-        print(f"wrote {out} samples={len(curve)}")
+        write_curve_csv(curve, args.out)
+        print(f"wrote {args.out} samples={len(curve)}")
         return 0
 
-    if config.command == "sweep":
-        if not config.out:
+    if args.command == "sweep":
+        if not args.out:
             raise ValueError("sweep requires --out")
-        kept = filter_lambda_grid(lams, config.lambda_min)
+        kept = filter_lambda_grid(lams, args.lambda_min)
         dropped = len(lams) - len(kept)
         if dropped:
             print(
-                f"dropped {dropped} lambda values below {config.lambda_min}",
+                f"dropped {dropped} lambda values below {args.lambda_min}",
                 file=sys.stderr,
             )
-        grid = sweep(
-            tmpl, family, kept, sigmas, n_init=config.samples, tol_unit=config.tol_unit
-        )
-        write_map_csv(grid, config.out)
-        svg = os.path.splitext(config.out)[0] + ".svg"
+        grid = sweep(tmpl, family, kept, sigmas, n_init=args.samples)
+        write_map_csv(grid, args.out)
+        svg = os.path.splitext(args.out)[0] + ".svg"
         write_map_svg(grid, svg)
-        print(f"wrote {config.out} and {svg} cells={len(kept) * len(sigmas)}")
+        print(f"wrote {args.out} and {svg} cells={len(kept) * len(sigmas)}")
         return 0
 
-    if config.command == "simulate":
-        lam = _single(lams, "lambda")
-        sigma = _single(sigmas, "sigma")
-        scheme = tmpl(lam)
-        bc = _build_boundary(family(sigma), scheme)
-        f = np.zeros(config.grid_size)
-        g = np.zeros((config.steps, scheme.r))
-        g[0, -1] = 1.0
-        run_out = simulate(scheme, bc, f, g, config.steps)
-        if config.out:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("n,j,u\n")
-                for n in range(run_out.completed_steps + 1):
-                    for j in range(run_out.J):
-                        fh.write(f"{n},{j},{run_out.history[n, j]:.17g}\n")
-        print(
-            f"steps={run_out.completed_steps} final_norm={run_out.norm_trace[-1]:.6e} "
-            f"blew_up={run_out.blew_up}"
+    # simulate
+    lam = _single(lams, "lambda")
+    sigma = _single(sigmas, "sigma")
+    scheme = tmpl(lam)
+    bc = _build_boundary(family(sigma), scheme)
+    f = np.zeros(args.grid_size)
+    g = np.zeros((args.steps, scheme.r))
+    g[0, -1] = 1.0
+    run_out = simulate(scheme, bc, f, g, args.steps)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("n,j,u\n")
+            for n in range(run_out.completed_steps + 1):
+                for j in range(run_out.J):
+                    fh.write(f"{n},{j},{run_out.history[n, j]:.17g}\n")
+    print(
+        f"steps={run_out.completed_steps} final_norm={run_out.norm_trace[-1]:.6e} "
+        f"blew_up={run_out.blew_up}"
+    )
+    return 0
+
+
+def _add_parsers(sub) -> None:
+    """One parser per command, each with only the flags that command reads."""
+    parsers = {}
+    for name in ("check", "curve", "sweep", "simulate"):
+        p = parsers[name] = sub.add_parser(name)
+        p.add_argument("--scheme", required=True, help="template name or @file")
+        p.add_argument("--boundary", required=True, help="R<d>,<k_d> or @file")
+        p.add_argument("--sigma", default="0.0", help="boundary offset")
+        p.add_argument("--lambda", dest="lam", required=True, help="CFL number")
+    for name in ("check", "curve", "sweep"):
+        parsers[name].add_argument(
+            "--samples", type=int, default=256, help="initial curve resolution"
         )
-        return 0
-
-    raise ValueError(f"unknown command {config.command!r}")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", required=True, help="template name or @file")
-    p.add_argument("--boundary", required=True, help="R<d>,<k_d> or @file")
-    p.add_argument("--sigma", "--sigma-range", dest="sigma", default="0.0")
-    p.add_argument("--lambda", "--lambda-range", dest="lam", required=True)
-    p.add_argument("--samples", type=int, default=256, help="initial curve resolution")
-    p.add_argument("--out", default=None)
-    p.add_argument("--curve-out", dest="curve_out", default=None)
-    p.add_argument("--tol-unit", dest="tol_unit", type=float, default=1e-9)
-    p.add_argument(
+    for name in ("curve", "sweep", "simulate"):
+        parsers[name].add_argument("--out", default=None)
+    parsers["check"].add_argument("--curve-out", dest="curve_out", default=None)
+    parsers["sweep"].add_argument(
         "--lambda-min", dest="lambda_min", type=float, default=DEFAULT_LAMBDA_MIN
     )
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=400)
-    p.add_argument("--steps", type=int, default=1000)
+    parsers["simulate"].add_argument(
+        "--grid-size", dest="grid_size", type=int, default=400
+    )
+    parsers["simulate"].add_argument("--steps", type=int, default=1000)
 
 
-_VALUE_FLAGS = {"--sigma", "--sigma-range", "--lambda", "--lambda-range"}
+_VALUE_FLAGS = {"--sigma", "--lambda"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -223,28 +203,12 @@ def main(argv=None) -> int:
         prog="klstab",
         description="Boundary stability of explicit one-step schemes by winding numbers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "curve", "sweep", "simulate"):
-        _add_common(sub.add_parser(name))
+    _add_parsers(parser.add_subparsers(dest="command", required=True))
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
-    config = RunConfig(
-        command=args.command,
-        scheme_spec=args.scheme,
-        boundary_spec=args.boundary,
-        lam=args.lam,
-        sigma=args.sigma,
-        samples=args.samples,
-        out=args.out,
-        curve_out=args.curve_out,
-        tol_unit=args.tol_unit,
-        lambda_min=args.lambda_min,
-        grid_size=args.grid_size,
-        steps=args.steps,
-    )
     try:
-        return run(config)
+        return run(args)
     except (KLStabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,14 +84,13 @@ class KLCurve:
     thetas: np.ndarray
     values: np.ndarray
     depths: np.ndarray
-    closed: bool = True
 
     def __len__(self) -> int:
         return len(self.thetas)
 
 
-def _cluster_indices(roots: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[int]]:
-    """Single-linkage clusters of root indices at the given distance tolerance."""
+def _cluster_indices(roots: np.ndarray) -> list[list[int]]:
+    """Single-linkage clusters of root indices at distance CLUSTER_TOL."""
     n = len(roots)
     parent = list(range(n))
 
@@ -103,7 +102,7 @@ def _cluster_indices(roots: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[i
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= tol:
+            if abs(roots[i] - roots[j]) <= CLUSTER_TOL:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -128,36 +127,32 @@ def sigmas_from_roots(roots) -> tuple[complex, ...]:
     return tuple(_monic_product(np.asarray(roots, dtype=complex).reshape(1, -1))[0])
 
 
-def select_stable_roots(
-    s: Scheme, z: complex, tol_unit: float = TOL_UNIT
-) -> StableRootSet:
+def select_stable_roots(s: Scheme, z: complex) -> StableRootSet:
     """The r characteristic roots inside (or continued from inside) the unit disk.
 
-    For |z| > 1 + tol_unit this is the plain Hersh split.  For z within
-    tol_unit of the circle, roots in the band |1 - |kappa|| <= tol_unit (and
+    For |z| > 1 + TOL_UNIT this is the plain Hersh split.  For z within
+    TOL_UNIT of the circle, roots in the band |1 - |kappa|| <= TOL_UNIT (and
     clusters straddling the circle) are resolved by re-solving at
     z' = (1 + eta/2) z and counting the cluster's roots that land inside.
     """
     if s.r < 1:
         raise ValueError("selection requires r >= 1")
     z = complex(z)
-    if abs(z) < 1.0 - tol_unit:
+    if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
     roots, residuals = find_roots_many(_char_rows(s, np.array([z])))
     roots = roots[0]
 
-    if abs(z) > 1.0 + tol_unit:
+    if abs(z) > 1.0 + TOL_UNIT:
         try:
-            chosen, _ = hersh_split(
-                s, z, RootSet(tuple(roots), float(residuals[0])), tol_unit
-            )
+            chosen, _ = hersh_split(s, z, RootSet(tuple(roots), float(residuals[0])))
         except SeparationFailure as exc:
             # the root-count separation holds for every |z| > 1 of a
             # whole-line-stable scheme, so a miscount signals its violation
             raise CauchyViolation(f"root split failed: {exc}") from exc
         tags = [STRICT_INSIDE] * len(chosen)
     else:
-        chosen, tags = _select_on_circle(s, z, roots, np.abs(roots), tol_unit)
+        chosen, tags = _select_on_circle(s, z, roots, np.abs(roots))
 
     chosen = sorted(chosen, key=lambda x: (x.real, x.imag))
     return StableRootSet(
@@ -168,7 +163,7 @@ def select_stable_roots(
     )
 
 
-def _select_on_circle(s, z, roots, moduli, tol_unit):
+def _select_on_circle(s, z, roots, moduli):
     clusters = _cluster_indices(roots)
     chosen: list[complex] = []
     tags: list[str] = []
@@ -178,17 +173,17 @@ def _select_on_circle(s, z, roots, moduli, tol_unit):
         # A multi-root cluster hugging the circle may be a split multiple root
         # whose true location is on it; only clearly-separated clusters classify
         # by side, the rest go through the perturbation count.
-        if np.max(mods) < 1.0 - tol_unit and (
+        if np.max(mods) < 1.0 - TOL_UNIT and (
             single or np.max(mods) < 1.0 - CLUSTER_TOL
         ):
             chosen.extend(roots[i] for i in idx)
             tags.extend([STRICT_INSIDE] * len(idx))
-        elif np.min(mods) > 1.0 + tol_unit and (
+        elif np.min(mods) > 1.0 + TOL_UNIT and (
             single or np.min(mods) > 1.0 + CLUSTER_TOL
         ):
             continue
         else:
-            count = _roots_from_inside(s, z, roots, idx, tol_unit)
+            count = _roots_from_inside(s, z, roots, idx)
             members = sorted(
                 (roots[i] for i in idx), key=lambda x: (abs(x), x.real, x.imag)
             )
@@ -202,7 +197,7 @@ def _select_on_circle(s, z, roots, moduli, tol_unit):
     return chosen, tags
 
 
-def _roots_from_inside(s, z, roots, cluster_idx, tol_unit) -> int:
+def _roots_from_inside(s, z, roots, cluster_idx) -> int:
     """Count of a boundary cluster's roots that arrive from inside the disk."""
     members = roots[cluster_idx]
     center = complex(np.mean(members))
@@ -222,7 +217,7 @@ def _roots_from_inside(s, z, roots, cluster_idx, tol_unit) -> int:
         raise BoundaryAmbiguity(
             f"a sampled point of the counting circle at {center} is an exact root"
         )
-    if (1.0 + eta / 2.0) * abs(z) <= 1.0 + 2.0 * tol_unit:
+    if (1.0 + eta / 2.0) * abs(z) <= 1.0 + 2.0 * TOL_UNIT:
         raise SelectionFailure(
             f"perturbation radius eta={eta} too small to certify counts at z={z}"
         )
@@ -264,16 +259,14 @@ def _fold_columns(calB: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta(
-    s: Scheme, bc: BoundaryCondition, z: complex, tol_unit: float = TOL_UNIT
-) -> complex:
+def delta(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     """The intrinsic determinant det(z I_r - Bt(sigma(z)))."""
     if s.r < 1:
         raise ValueError("delta requires r >= 1")
     z = complex(z)
-    if abs(z) < 1.0 - tol_unit:
+    if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
-    return complex(_delta_batch(s, bc, np.array([z]), tol_unit)[0])
+    return complex(_delta_batch(s, bc, np.array([z]))[0])
 
 
 def basis_matrices(
@@ -304,15 +297,13 @@ def basis_matrices(
     return VandermondeBasis(z=rootset.z, K_top=k_full[:r, :], K_full=k_full)
 
 
-def delta_reference(
-    s: Scheme, bc: BoundaryCondition, z: complex, tol_unit: float = TOL_UNIT
-) -> complex:
+def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     """Independent evaluation through the explicit basis matrices (distinct roots).
 
     det(z K_top - calB K_full) / det(K_top); raises MultipleRoot when the
     stable roots cluster, in which case the check is skipped at this z.
     """
-    srs = select_stable_roots(s, z, tol_unit=tol_unit)
+    srs = select_stable_roots(s, z)
     basis = basis_matrices(srs, rows=bc.m, require_distinct=True)
     num = np.linalg.det(z * basis.K_top - bc.calB.astype(complex) @ basis.K_full)
     den = np.linalg.det(basis.K_top)
@@ -334,9 +325,7 @@ def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
     return _trim_batch(rows, s.r)
 
 
-def _delta_batch(
-    s: Scheme, bc: BoundaryCondition, zs: np.ndarray, tol_unit: float
-) -> np.ndarray:
+def _delta_batch(s: Scheme, bc: BoundaryCondition, zs: np.ndarray) -> np.ndarray:
     """Delta at each z of a 1-D array on or outside the circle.
 
     A point whose roots all sit clear of the circle band, r of them inside,
@@ -345,14 +334,14 @@ def _delta_batch(
     r = s.r
     roots = find_roots_many(_char_rows(s, zs))[0]
     moduli = np.abs(roots)
-    inside = moduli < 1.0 - tol_unit
-    clear = np.abs(moduli - 1.0) > max(CLUSTER_TOL, tol_unit)
+    inside = moduli < 1.0 - TOL_UNIT
+    clear = np.abs(moduli - 1.0) > CLUSTER_TOL
     fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == r)
 
     sig = np.empty((len(zs), r), dtype=complex)
     sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, r))
     for i in np.flatnonzero(~fast):
-        sig[i] = select_stable_roots(s, complex(zs[i]), tol_unit=tol_unit).sigmas
+        sig[i] = select_stable_roots(s, complex(zs[i])).sigmas
     bt = _fold_columns(bc.calB, sig)
     return np.linalg.det(zs[:, None, None] * np.eye(r) - bt)
 
@@ -361,7 +350,6 @@ def kl_curve(
     s: Scheme,
     bc: BoundaryCondition,
     n_init: int = 256,
-    tol_unit: float = TOL_UNIT,
     max_depth: int = MAX_REFINE_DEPTH,
 ) -> KLCurve:
     """Sample Delta on the unit circle with adaptive bisection refinement.
@@ -377,7 +365,7 @@ def kl_curve(
     if s.r < 1:
         raise ValueError("curve requires r >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
-    values = _delta_batch(s, bc, np.exp(1j * thetas), tol_unit)
+    values = _delta_batch(s, bc, np.exp(1j * thetas))
     depths = np.zeros(n_init, dtype=int)
 
     while True:
@@ -389,7 +377,7 @@ def kl_curve(
             break
         right = np.append(thetas[1:], 2.0 * np.pi)
         mids = 0.5 * (thetas[split] + right[split])
-        new_values = _delta_batch(s, bc, np.exp(1j * mids), tol_unit)
+        new_values = _delta_batch(s, bc, np.exp(1j * mids))
         thetas = np.insert(thetas, split + 1, mids)
         values = np.insert(values, split + 1, new_values)
         depths = np.insert(depths, split + 1, child[split])
@@ -422,8 +410,5 @@ def read_curve_csv(path: str) -> KLCurve:
             values.append(complex(float(re), float(im)))
             depths.append(int(d))
     return KLCurve(
-        thetas=np.array(thetas),
-        values=np.array(values),
-        depths=np.array(depths),
-        closed=True,
+        thetas=np.array(thetas), values=np.array(values), depths=np.array(depths)
     )

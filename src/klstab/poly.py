@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import BoundaryAmbiguity, NonConvergence
 
-DEFAULT_ROOT_TOL = 1e-12
+ROOT_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
 _STEP_TOL = 1e-13
+DISK_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,17 +49,6 @@ class ComplexPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree == 0:
-            return ComplexPolynomial([0.0])
-        return ComplexPolynomial(
-            [k * c for k, c in enumerate(self.coefficients)][1:]
-        )
-
-    def monic(self) -> "ComplexPolynomial":
-        lead = self.coefficients[-1]
-        return ComplexPolynomial([c / lead for c in self.coefficients])
 
 
 @dataclass(frozen=True)
@@ -103,19 +93,14 @@ def _horner_many(coeff_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def find_roots_many(
-    coeff_rows: np.ndarray,
-    tol: float = DEFAULT_ROOT_TOL,
-    initial: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich on a batch of same-degree polynomials.
 
     Parameters
     ----------
     coeff_rows : (n, d+1) complex array, ascending degree, nonzero last column.
-    tol : backward-error residual target.
-    initial : optional warm-start guesses, shape (n, degree after deflating
-        exact zero roots); distinct entries per row are the caller's duty.
+
+    Raises NonConvergence when a backward-error residual exceeds ROOT_TOL.
 
     Returns
     -------
@@ -143,10 +128,7 @@ def find_roots_many(
     monic = rows / lead[:, None]
     dcoef = monic[:, 1:] * np.arange(1, d + 1)[None, :]
 
-    x = _initial_guesses(monic) if initial is None else np.array(initial, dtype=complex)
-    if x.shape != (n, d):
-        raise ValueError("initial guesses must have shape (n, reduced degree)")
-
+    x = _initial_guesses(monic)
     eye = np.eye(d, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ABERTH_MAX_SWEEPS):
@@ -171,9 +153,9 @@ def find_roots_many(
         scale += np.abs(monic[:, k, None]) * ax**k
     resid = np.abs(_horner_many(monic, x)) / np.where(scale == 0, 1.0, scale)
     worst = resid.max(axis=1)
-    if not np.all(np.isfinite(x)) or not (np.max(worst) <= tol):
+    if not np.all(np.isfinite(x)) or not (np.max(worst) <= ROOT_TOL):
         raise NonConvergence(
-            f"root iteration residual {np.max(worst):.3e} exceeds tol {tol:.3e}"
+            f"root iteration residual {np.max(worst):.3e} exceeds tol {ROOT_TOL:.3e}"
         )
     if n_zero:
         x = np.concatenate([np.zeros((n, n_zero), dtype=complex), x], axis=1)
@@ -182,35 +164,30 @@ def find_roots_many(
     return x, worst
 
 
-def find_roots(p: ComplexPolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
+def find_roots(p: ComplexPolynomial) -> RootSet:
     """All ``degree`` roots of ``p``, deterministic and sorted by (real, imag)."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    roots, resid = find_roots_many(
-        np.array([p.coefficients], dtype=complex), tol=tol
-    )
+    roots, resid = find_roots_many(np.array([p.coefficients], dtype=complex))
     return RootSet(roots=tuple(roots[0]), residual=float(resid[0]))
 
 
 def count_roots_in_disk(
-    p: ComplexPolynomial,
-    center: complex,
-    radius: float,
-    roots: RootSet,
-    tol: float = 1e-9,
+    p: ComplexPolynomial, center: complex, radius: float, roots: RootSet
 ) -> int:
     """Number of roots with |root − center| < radius.
 
-    Raises BoundaryAmbiguity when a root sits within ``tol`` of the circle.
+    Raises BoundaryAmbiguity when a root sits within DISK_BOUNDARY_TOL of the
+    circle.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     count = 0
     for x in roots.roots:
         dist = abs(x - center)
-        if abs(dist - radius) <= tol:
+        if abs(dist - radius) <= DISK_BOUNDARY_TOL:
             raise BoundaryAmbiguity(
-                f"root {x} is within {tol} of the counting circle"
+                f"root {x} is within {DISK_BOUNDARY_TOL} of the counting circle"
             )
         if dist < radius:
             count += 1

@@ -19,6 +19,8 @@ from .poly import ComplexPolynomial, RootSet
 
 CONSISTENCY_TOL = 1e-12
 TOL_UNIT = 1e-9
+CAUCHY_SAMPLES = 4096
+CAUCHY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,17 @@ def symbol_many(s: Scheme, xis: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(xis, ks)) @ s.coeff_array().astype(complex)
 
 
-def is_cauchy_stable(
-    s: Scheme, n_samples: int = 4096, tol: float = 1e-10
-) -> CauchyReport:
-    """Check max_xi |gamma(xi)| <= 1 + tol on a dense grid, reporting the worst offender."""
-    if n_samples < 256:
-        raise ValueError("n_samples must be >= 256")
-    xis = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+def is_cauchy_stable(s: Scheme) -> CauchyReport:
+    """Check max_xi |gamma(xi)| <= 1 + CAUCHY_TOL on CAUCHY_SAMPLES equispaced xi.
+
+    Reports the worst offender.
+    """
+    xis = np.linspace(0.0, 2.0 * np.pi, CAUCHY_SAMPLES, endpoint=False)
     mods = np.abs(symbol_many(s, xis))
     i = int(np.argmax(mods))
-    return CauchyReport(bool(mods[i] <= 1.0 + tol), float(xis[i]), float(mods[i]))
+    return CauchyReport(
+        bool(mods[i] <= 1.0 + CAUCHY_TOL), float(xis[i]), float(mods[i])
+    )
 
 
 def characteristic_coefficients(s: Scheme, z: complex) -> np.ndarray:
@@ -94,21 +97,21 @@ def characteristic_polynomial(s: Scheme, z: complex) -> ComplexPolynomial:
 
 
 def hersh_split(
-    s: Scheme, z: complex, roots: RootSet, tol_unit: float = TOL_UNIT
+    s: Scheme, z: complex, roots: RootSet
 ) -> tuple[list[complex], list[complex]]:
     """Partition characteristic roots into (inside D, outside D) for |z| > 1.
 
     Exactly r roots must fall strictly inside and p outside; a degree deficit of
     P_z (leading coefficients exactly zero) counts as outside roots at infinity.
-    Raises SeparationFailure when a root is within tol_unit of the unit circle
+    Raises SeparationFailure when a root is within TOL_UNIT of the unit circle
     or the counts disagree, which signals a Cauchy-stability violation.
     """
-    if abs(z) <= 1.0 + tol_unit:
-        raise ValueError("hersh_split requires |z| > 1 + tol_unit")
+    if abs(z) <= 1.0 + TOL_UNIT:
+        raise ValueError("hersh_split requires |z| > 1 + TOL_UNIT")
     inside, outside = [], []
     for x in roots.roots:
         m = abs(x)
-        if abs(m - 1.0) <= tol_unit:
+        if abs(m - 1.0) <= TOL_UNIT:
             raise SeparationFailure(f"root {x} lies on the unit circle band at z={z}")
         (inside if m < 1.0 else outside).append(x)
     deficit = (s.r + s.p) - len(roots.roots)

@@ -23,7 +23,7 @@ from .errors import (
     OriginOnCurve,
     RefinementExhausted,
 )
-from .kldet import MAX_REFINE_DEPTH, TOL_UNIT, kl_curve
+from .kldet import MAX_REFINE_DEPTH, kl_curve
 from .scheme import SchemeTemplate, is_cauchy_stable
 from .winding import winding_number
 
@@ -33,6 +33,7 @@ STATUS_MARGINAL = "marginal"
 STATUS_INVALID = "invalid_precondition"
 
 DEFAULT_LAMBDA_MIN = 0.01
+MAP_CELL_PX = 12
 
 BoundarySpec = ReconstructionSpec | np.ndarray | BoundaryCondition
 
@@ -74,7 +75,6 @@ def check(
     bc_spec,
     lam: float,
     n_init: int = 256,
-    tol_unit: float = TOL_UNIT,
     max_depth: int = MAX_REFINE_DEPTH,
 ) -> StabilityVerdict:
     """Decide stability at one (scheme, boundary, lambda) point.
@@ -105,9 +105,7 @@ def check(
 
     try:
         bc = _build_boundary(bc_spec, scheme)
-        curve = kl_curve(
-            scheme, bc, n_init=n_init, tol_unit=tol_unit, max_depth=max_depth
-        )
+        curve = kl_curve(scheme, bc, n_init=n_init, max_depth=max_depth)
     except RefinementExhausted as exc:
         diag["error"] = str(exc)
         return StabilityVerdict(None, None, STATUS_MARGINAL, diag)
@@ -138,8 +136,6 @@ def sweep(
     lambda_values: Sequence[float],
     sigma_values: Sequence[float],
     n_init: int = 256,
-    tol_unit: float = TOL_UNIT,
-    max_depth: int = MAX_REFINE_DEPTH,
 ) -> SweepGrid:
     """Independent check calls over the grid; cells never abort the sweep."""
     lams = tuple(float(x) for x in lambda_values)
@@ -150,17 +146,7 @@ def sweep(
         raise ValueError("grid values must be ascending")
 
     results = [
-        [
-            check(
-                s_template,
-                bc_family(sig),
-                lam,
-                n_init=n_init,
-                tol_unit=tol_unit,
-                max_depth=max_depth,
-            )
-            for sig in sigs
-        ]
+        [check(s_template, bc_family(sig), lam, n_init=n_init) for sig in sigs]
         for lam in lams
     ]
     r = s_template(max(lams)).r
@@ -202,8 +188,9 @@ def _cell_color(v: StabilityVerdict) -> str:
     return _ZERO_COLORS[min(v.unstable_zeros, len(_ZERO_COLORS) - 1)]
 
 
-def write_map_svg(grid: SweepGrid, path: str, cell_px: int = 12) -> None:
+def write_map_svg(grid: SweepGrid, path: str) -> None:
     """Heatmap: lambda on the horizontal axis, sigma on the vertical axis (up)."""
+    cell_px = MAP_CELL_PX
     nl, ns = len(grid.lambda_values), len(grid.sigma_values)
     margin = 42
     width = nl * cell_px + 2 * margin

@@ -98,6 +98,30 @@ def test_sweep_outputs(tmp_path, capsys):
     assert svg.read_text().count("<rect") == 1 + 12
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("check", ["--steps", "5"]),
+        ("check", ["--out", "x.csv"]),
+        ("check", ["--tol-unit", "1e-6"]),
+        ("curve", ["--lambda-min", "0.1"]),
+        ("sweep", ["--grid-size", "3"]),
+        ("simulate", ["--samples", "64"]),
+        ("check", ["--sigma-range", "0.1"]),
+    ],
+)
+def test_flag_not_read_by_command_is_rejected(command, extra, tmp_path, monkeypatch):
+    # a flag the command does not read is an argparse error, not a silent no-op
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "o.csv"] if command in ("curve", "sweep") else []
+    args = [command, "--scheme", "o3", "--boundary", "R3,0", "--sigma", "-0.4",
+            "--lambda", "0.4", *out, *extra]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_requires_out(capsys):
     code, _, err = run_cli(
         ["sweep", "--scheme", "o3", "--boundary", "R3,0",

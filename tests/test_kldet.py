@@ -235,7 +235,6 @@ def test_kl_curve_thetas_strictly_increasing():
     curve = kl_curve(tmpl(0.4), recon_bc(tmpl, 0.4, 3, 0, -0.4), n_init=64)
     assert np.all(np.diff(curve.thetas) > 0)
     assert curve.thetas[0] >= 0.0 and curve.thetas[-1] < 2 * np.pi
-    assert curve.closed
 
 
 # Sample sets recorded before the refinement loop became array operations:

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from klstab.boundary import ReconstructionSpec
 from klstab.errors import EmptyGrid
@@ -63,6 +66,35 @@ def test_o3_at_lambda_two_checks_without_warning(sigma):
         warnings.simplefilter("error")
         v = check(template("o3"), ReconstructionSpec(3, 0, sigma), 2.0)
     assert (v.status, v.winding, v.unstable_zeros) == (STATUS_UNSTABLE, 1, 1)
+
+
+@st.composite
+def check_inputs(draw):
+    """A template, lambda in [0.01, 2], and an R<d>,<k_d> spec or a random B."""
+    name = draw(st.sampled_from(["upwind", "o3", "lw5"]))
+    tmpl = template(name)
+    lam = draw(st.floats(0.01, 2.0))
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 6))
+        k_d = draw(st.integers(0, d - 2))
+        sigma = draw(st.floats(-0.5, 0.5, exclude_max=True))
+        return tmpl, ReconstructionSpec(d, k_d, sigma), lam
+    s = tmpl(lam)
+    width = draw(st.integers(s.r + s.p, s.r + s.p + 3))
+    B = draw(arrays(float, (s.r, width), elements=st.floats(-2.0, 2.0)))
+    return tmpl, B, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(check_inputs())
+def test_check_never_raises_or_warns(inputs):
+    tmpl, spec, lam = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(tmpl, spec, lam)
+    assert v.status in (STATUS_STABLE, STATUS_UNSTABLE, STATUS_MARGINAL, STATUS_INVALID)
+    if v.certified:
+        assert v.unstable_zeros == tmpl(lam).r - v.winding >= 0
 
 
 def test_nonpositive_lambda_is_invalid():
