@@ -35,7 +35,6 @@ from .kldet import (
 from .poly import (
     ComplexPolynomial,
     RootSet,
-    count_roots_in_disk,
     find_roots,
     min_modulus_on_circle,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "build_calB",
     "characteristic_polynomial",
     "check",
-    "count_roots_in_disk",
     "delta",
     "delta_reference",
     "find_roots",

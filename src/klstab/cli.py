@@ -26,7 +26,7 @@ from .scheme import SchemeTemplate, TEMPLATES, custom_template, template
 from .verdict import (
     DEFAULT_LAMBDA_MIN,
     _build_boundary,
-    check,
+    _check,
     filter_lambda_grid,
     sweep,
     write_map_csv,
@@ -90,12 +90,8 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "check":
         lam = _single(lams, "lambda")
         sigma = _single(sigmas, "sigma")
-        verdict = check(tmpl, family(sigma), lam, n_init=args.samples)
+        verdict, curve = _check(tmpl, family(sigma), lam, args.samples)
         if args.curve_out and verdict.certified:
-            scheme = tmpl(lam)
-            curve = kl_curve(
-                scheme, _build_boundary(family(sigma), scheme), n_init=args.samples
-            )
             write_curve_csv(curve, args.curve_out)
         w = "na" if verdict.winding is None else verdict.winding
         z = "na" if verdict.unstable_zeros is None else verdict.unstable_zeros

@@ -4,17 +4,19 @@ For |z| > 1 the characteristic polynomial has exactly r roots inside the unit
 disk (Hersh separation); their monic product X^r + s_{r-1}X^{r-1} + ... + s_0
 drives a column elimination of the boundary matrix calB down to an r x r matrix
 Bt, and the determinant D(z) = det(z I_r - Bt) is holomorphic outside the disk
-and continuous up to it.  On the circle itself, roots sitting on |kappa| = 1
-are resolved by a Rouche perturbation: nudge z radially outward by half the
-certified radius and count how many nearby roots land inside the disk, i.e.
-how many members of the cluster arrived from the inside.
+and continuous up to it.  One rule picks the r roots at every |z| >= 1: roots
+clearly inside are taken, roots clearly outside are left, and roots in the
+circle band are resolved by a Rouche perturbation: nudge z radially outward by
+half the certified radius and count how many nearby roots land inside the
+disk, i.e. how many members of the cluster arrived from the inside.
 
 Each kernel has one implementation over a batch of z values: characteristic
 rows (``_char_rows``), the monic product (``_monic_product``), the column fold
 (``_fold_columns``) and the determinant (``_delta_batch``).  The scalar names
 ``sigmas_from_roots``, ``reduce_Btilde`` and ``delta`` are one-row calls of
-them.  Points whose roots all sit clear of the circle take the batched split;
-the rest go one at a time through ``select_stable_roots``.
+them.  The batch solves P_z once for all its points.  Points whose roots all
+sit clear of the circle take r inside roots directly; the rest pass their
+already-solved roots, one point at a time, to ``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -34,11 +36,10 @@ from .errors import (
     MultipleRoot,
     RefinementExhausted,
     SelectionFailure,
-    SeparationFailure,
     ShapeMismatch,
 )
-from .poly import ComplexPolynomial, RootSet, find_roots_many, min_modulus_on_circle
-from .scheme import TOL_UNIT, Scheme, characteristic_coefficients, hersh_split
+from .poly import ComplexPolynomial, find_roots_many, min_modulus_on_circle
+from .scheme import TOL_UNIT, Scheme, characteristic_coefficients
 from .winding import needs_refinement
 
 CLUSTER_TOL = 1e-7
@@ -127,33 +128,22 @@ def sigmas_from_roots(roots) -> tuple[complex, ...]:
     return tuple(_monic_product(np.asarray(roots, dtype=complex).reshape(1, -1))[0])
 
 
-def select_stable_roots(s: Scheme, z: complex) -> StableRootSet:
-    """The r characteristic roots inside (or continued from inside) the unit disk.
+def select_stable_roots(s: Scheme, z: complex, roots) -> StableRootSet:
+    """The r roots of P_z inside (or continued from inside) the unit disk.
 
-    For |z| > 1 + TOL_UNIT this is the plain Hersh split.  For z within
-    TOL_UNIT of the circle, roots in the band |1 - |kappa|| <= TOL_UNIT (and
-    clusters straddling the circle) are resolved by re-solving at
-    z' = (1 + eta/2) z and counting the cluster's roots that land inside.
+    ``roots`` holds every root of P_z; nothing is solved here.  Clusters
+    clearly inside the disk are taken, clusters clearly outside are left, and
+    a cluster in the band |1 - |kappa|| <= TOL_UNIT (or straddling the circle)
+    is resolved by re-solving at z' = (1 + eta/2) z and counting its roots
+    that land inside.  A count other than r raises CauchyViolation: for
+    |z| > 1 a whole-line-stable scheme has exactly r roots inside (Hersh).
     """
     if s.r < 1:
         raise ValueError("selection requires r >= 1")
     z = complex(z)
     if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
-    roots, residuals = find_roots_many(_char_rows(s, np.array([z])))
-    roots = roots[0]
-
-    if abs(z) > 1.0 + TOL_UNIT:
-        try:
-            chosen, _ = hersh_split(s, z, RootSet(tuple(roots), float(residuals[0])))
-        except SeparationFailure as exc:
-            # the root-count separation holds for every |z| > 1 of a
-            # whole-line-stable scheme, so a miscount signals its violation
-            raise CauchyViolation(f"root split failed: {exc}") from exc
-        tags = [STRICT_INSIDE] * len(chosen)
-    else:
-        chosen, tags = _select_on_circle(s, z, roots, np.abs(roots))
-
+    chosen, tags = _select(s, z, np.asarray(roots, dtype=complex))
     chosen = sorted(chosen, key=lambda x: (x.real, x.imag))
     return StableRootSet(
         z=z,
@@ -163,11 +153,11 @@ def select_stable_roots(s: Scheme, z: complex) -> StableRootSet:
     )
 
 
-def _select_on_circle(s, z, roots, moduli):
-    clusters = _cluster_indices(roots)
+def _select(s, z, roots):
+    moduli = np.abs(roots)
     chosen: list[complex] = []
     tags: list[str] = []
-    for idx in clusters:
+    for idx in _cluster_indices(roots):
         mods = moduli[idx]
         single = len(idx) == 1
         # A multi-root cluster hugging the circle may be a split multiple root
@@ -190,9 +180,9 @@ def _select_on_circle(s, z, roots, moduli):
             chosen.extend(members[:count])
             tags.extend([CONTINUED] * count)
     if len(chosen) != s.r:
-        raise SelectionFailure(
+        raise CauchyViolation(
             f"selected {len(chosen)} roots instead of r={s.r} at z={z}; "
-            f"|roots|={sorted(np.abs(roots))}"
+            f"|roots|={sorted(moduli)}"
         )
     return chosen, tags
 
@@ -303,7 +293,8 @@ def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     det(z K_top - calB K_full) / det(K_top); raises MultipleRoot when the
     stable roots cluster, in which case the check is skipped at this z.
     """
-    srs = select_stable_roots(s, z)
+    roots = find_roots_many(_char_rows(s, np.array([complex(z)])))[0][0]
+    srs = select_stable_roots(s, z, roots)
     basis = basis_matrices(srs, rows=bc.m, require_distinct=True)
     num = np.linalg.det(z * basis.K_top - bc.calB.astype(complex) @ basis.K_full)
     den = np.linalg.det(basis.K_top)
@@ -341,7 +332,7 @@ def _delta_batch(s: Scheme, bc: BoundaryCondition, zs: np.ndarray) -> np.ndarray
     sig = np.empty((len(zs), r), dtype=complex)
     sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, r))
     for i in np.flatnonzero(~fast):
-        sig[i] = select_stable_roots(s, complex(zs[i])).sigmas
+        sig[i] = select_stable_roots(s, complex(zs[i]), roots[i]).sigmas
     bt = _fold_columns(bc.calB, sig)
     return np.linalg.det(zs[:, None, None] * np.eye(r) - bt)
 

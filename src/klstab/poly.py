@@ -1,4 +1,4 @@
-"""Complex polynomials, simultaneous root finding, and disk root counting.
+"""Complex polynomials, simultaneous root finding, and min |p| on a circle.
 
 Roots are found by Aberth-Ehrlich simultaneous iteration.  Initial radii come
 from the Newton-diagram diagonal (adjacent coefficient ratios clipped to the
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguity, NonConvergence
+from .errors import NonConvergence
 
 ROOT_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
 _STEP_TOL = 1e-13
-DISK_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,28 +169,6 @@ def find_roots(p: ComplexPolynomial) -> RootSet:
         raise ValueError("degree must be >= 1")
     roots, resid = find_roots_many(np.array([p.coefficients], dtype=complex))
     return RootSet(roots=tuple(roots[0]), residual=float(resid[0]))
-
-
-def count_roots_in_disk(
-    p: ComplexPolynomial, center: complex, radius: float, roots: RootSet
-) -> int:
-    """Number of roots with |root − center| < radius.
-
-    Raises BoundaryAmbiguity when a root sits within DISK_BOUNDARY_TOL of the
-    circle.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    count = 0
-    for x in roots.roots:
-        dist = abs(x - center)
-        if abs(dist - radius) <= DISK_BOUNDARY_TOL:
-            raise BoundaryAmbiguity(
-                f"root {x} is within {DISK_BOUNDARY_TOL} of the counting circle"
-            )
-        if dist < radius:
-            count += 1
-    return count
 
 
 def min_modulus_on_circle(

@@ -23,7 +23,7 @@ from .errors import (
     OriginOnCurve,
     RefinementExhausted,
 )
-from .kldet import MAX_REFINE_DEPTH, kl_curve
+from .kldet import MAX_REFINE_DEPTH, KLCurve, kl_curve
 from .scheme import SchemeTemplate, is_cauchy_stable
 from .winding import winding_number
 
@@ -83,35 +83,46 @@ def check(
     curve approached the origin below resolution; invalid_precondition covers
     Cauchy failures, r = 0, and selection breakdowns (diagnostics say which).
     """
+    return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
+
+
+def _check(
+    s_template: SchemeTemplate,
+    bc_spec,
+    lam: float,
+    n_init: int,
+    max_depth: int = MAX_REFINE_DEPTH,
+) -> tuple[StabilityVerdict, KLCurve | None]:
+    """The verdict of ``check`` with the curve it traced, None if it traced none."""
     diag: dict = {"lambda": lam}
     if lam <= 0:
         diag["error"] = "lambda must be positive"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag)
+        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
     try:
         scheme = s_template(lam)
     except (ValueError, KLStabError) as exc:
         diag["error"] = f"scheme construction failed: {exc}"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag)
+        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
     if scheme.r == 0:
         diag["error"] = "r = 0: no boundary modes, pipeline does not apply"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag)
+        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
 
     cauchy = is_cauchy_stable(scheme)
     diag["cauchy_max_modulus"] = cauchy.max_modulus
     diag["cauchy_xi_worst"] = cauchy.xi_worst
     if not cauchy.stable:
         diag["error"] = "Cauchy-stability violated"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag)
+        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
 
     try:
         bc = _build_boundary(bc_spec, scheme)
         curve = kl_curve(scheme, bc, n_init=n_init, max_depth=max_depth)
     except RefinementExhausted as exc:
         diag["error"] = str(exc)
-        return StabilityVerdict(None, None, STATUS_MARGINAL, diag)
+        return StabilityVerdict(None, None, STATUS_MARGINAL, diag), None
     except KLStabError as exc:
         diag["error"] = f"{type(exc).__name__}: {exc}"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag)
+        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
 
     diag["curve_samples"] = len(curve)
     diag["max_refine_depth"] = int(np.max(curve.depths))
@@ -119,15 +130,15 @@ def check(
         wres = winding_number(curve.values)
     except OriginOnCurve as exc:
         diag["error"] = str(exc)
-        return StabilityVerdict(None, None, STATUS_MARGINAL, diag)
+        return StabilityVerdict(None, None, STATUS_MARGINAL, diag), curve
     diag["min_curve_distance"] = wres.min_distance
 
     if not wres.certified:
         diag["error"] = "curve not certifiable away from the origin"
-        return StabilityVerdict(None, None, STATUS_MARGINAL, diag)
+        return StabilityVerdict(None, None, STATUS_MARGINAL, diag), curve
     zeros = scheme.r - wres.index
     status = STATUS_STABLE if zeros == 0 else STATUS_UNSTABLE
-    return StabilityVerdict(wres.index, zeros, status, diag)
+    return StabilityVerdict(wres.index, zeros, status, diag), curve
 
 
 def sweep(

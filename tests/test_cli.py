@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import klstab.cli
+import klstab.verdict
+from conftest import recon_bc
 from klstab.cli import main
-from klstab.kldet import read_curve_csv
+from klstab.kldet import kl_curve, read_curve_csv, write_curve_csv
+from klstab.scheme import template
 from klstab.winding import winding_number
 
 
@@ -185,3 +189,29 @@ def test_check_curve_out_writes_curve(tmp_path, capsys):
     assert code == 0
     curve = read_curve_csv(str(cpath))
     assert winding_number(curve.values).index == 2
+
+
+def test_check_curve_out_traces_the_curve_once(tmp_path, capsys, monkeypatch):
+    tmpl = template("o3")
+    expected = tmp_path / "expected.csv"
+    curve = kl_curve(tmpl(0.4), recon_bc(tmpl, 0.4, 3, 0, -0.4))
+    write_curve_csv(curve, str(expected))
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kl_curve(*args, **kwargs)
+
+    monkeypatch.setattr(klstab.verdict, "kl_curve", counting)
+    monkeypatch.setattr(klstab.cli, "kl_curve", counting)
+    cpath = tmp_path / "c.csv"
+    code, out, _ = run_cli(
+        ["check", "--scheme", "o3", "--boundary", "R3,0", "--sigma", "-0.4",
+         "--lambda", "0.4", "--curve-out", str(cpath)],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() == "status=stable winding=2 zeros=0"
+    assert len(calls) == 1
+    assert cpath.read_bytes() == expected.read_bytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import klstab.kldet
 from conftest import brute_roots, o3_Btilde_golden, recon_bc
 from klstab.boundary import BoundaryCondition, ReconstructionSpec
 from klstab.errors import CauchyViolation, MultipleRoot, ShapeMismatch
@@ -18,6 +19,7 @@ from klstab.kldet import (
     sigmas_from_roots,
     write_curve_csv,
 )
+from klstab.poly import find_roots
 from klstab.scheme import Scheme, characteristic_polynomial, template
 from klstab.verdict import check
 from klstab.winding import winding_number
@@ -25,6 +27,10 @@ from klstab.winding import winding_number
 
 def shift_scheme():
     return Scheme(r=1, p=0, coeffs={-1: 1.0, 0: 0.0}, lam=1.0)
+
+
+def roots_at(s, z):
+    return find_roots(characteristic_polynomial(s, z)).roots
 
 
 def zero_boundary(r: int, m: int) -> BoundaryCondition:
@@ -35,7 +41,7 @@ def zero_boundary(r: int, m: int) -> BoundaryCondition:
 def test_select_shift_scheme_on_circle():
     s = shift_scheme()
     z = np.exp(0.7j)
-    srs = select_stable_roots(s, z)
+    srs = select_stable_roots(s, z, roots_at(s, z))
     assert len(srs.roots) == 1
     assert srs.roots[0] == pytest.approx(1 / z, abs=1e-12)
     assert srs.provenance == (CONTINUED,)
@@ -43,7 +49,7 @@ def test_select_shift_scheme_on_circle():
 
 def test_select_o3_at_z_one_resolves_unit_root():
     s = template("o3")(0.4)
-    srs = select_stable_roots(s, 1.0 + 0j)
+    srs = select_stable_roots(s, 1.0 + 0j, roots_at(s, 1.0))
     assert len(srs.roots) == 2
     mods = sorted(abs(x) for x in srs.roots)
     assert mods[1] == pytest.approx(1.0, abs=1e-9)
@@ -52,7 +58,7 @@ def test_select_o3_at_z_one_resolves_unit_root():
 
 def test_select_o3_exterior_matches_brute_force():
     s = template("o3")(0.4)
-    srs = select_stable_roots(s, 2.0 + 0j)
+    srs = select_stable_roots(s, 2.0 + 0j, roots_at(s, 2.0))
     assert srs.provenance == (STRICT_INSIDE, STRICT_INSIDE)
     oracle = brute_roots(characteristic_polynomial(s, 2.0).coefficients)
     inside = sorted(
@@ -66,14 +72,50 @@ def test_select_o3_exterior_matches_brute_force():
 
 def test_select_rejects_interior_z():
     with pytest.raises(ValueError):
-        select_stable_roots(template("o3")(0.4), 0.5 + 0j)
+        s = template("o3")(0.4)
+        select_stable_roots(s, 0.5 + 0j, roots_at(s, 0.5))
 
 
-def test_select_flags_cauchy_violation():
-    # at an over-CFL scheme the exterior root count breaks inside the symbol curve
+@pytest.mark.parametrize("modulus", [1.0, 1.02])
+def test_select_flags_cauchy_violation(modulus):
+    # at an over-CFL scheme the exterior root count breaks inside the symbol
+    # curve, on the circle as well as off it
     s = template("o3")(1.5)
+    z = modulus * np.exp(1.473j)
     with pytest.raises(CauchyViolation):
-        select_stable_roots(s, 1.02 * np.exp(1.473j))
+        select_stable_roots(s, z, roots_at(s, z))
+
+
+def test_select_picks_from_the_given_roots():
+    # every chosen root is an element of the caller's array, not a re-solve
+    s = template("o3")(0.4)
+    for z in (2.0 + 0j, 1.5 * np.exp(0.8j), 1.0 + 0j, np.exp(2.1j)):
+        given = brute_roots(characteristic_polynomial(s, z).coefficients)
+        srs = select_stable_roots(s, z, given)
+        assert len(srs.roots) == s.r
+        assert all(np.any(given == x) for x in srs.roots)
+
+
+def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
+    # o3 at lambda = 1: every sample leaves the fast path; its only one-row
+    # solve is the Rouche re-solve, one per min_modulus_on_circle call
+    counts = {"one_row_solves": 0, "rouche": 0}
+    solve = klstab.kldet.find_roots_many
+    rouche = klstab.kldet.min_modulus_on_circle
+
+    def counting_solve(rows):
+        counts["one_row_solves"] += len(rows) == 1
+        return solve(rows)
+
+    def counting_rouche(*args):
+        counts["rouche"] += 1
+        return rouche(*args)
+
+    monkeypatch.setattr(klstab.kldet, "find_roots_many", counting_solve)
+    monkeypatch.setattr(klstab.kldet, "min_modulus_on_circle", counting_rouche)
+    tmpl = template("o3")
+    kl_curve(tmpl(1.0), recon_bc(tmpl, 1.0, 3, 0, -0.4))
+    assert counts == {"one_row_solves": 256, "rouche": 256}
 
 
 def test_sigma_expansion_matches_numpy():
@@ -161,7 +203,7 @@ def test_symmetric_function_consistency(rng):
     bc = recon_bc(template("o3"), 0.45, 3, 0, 0.4)
     for _ in range(20):
         z = float(rng.uniform(1.05, 5.0)) * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
-        srs = select_stable_roots(s, z)
+        srs = select_stable_roots(s, z, roots_at(s, z))
         basis = basis_matrices(srs, rows=bc.m)
         expected = bc.calB @ basis.K_full @ np.linalg.inv(basis.K_top)
         bt = reduce_Btilde(bc.calB, srs.sigmas)

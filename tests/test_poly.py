@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_roots
-from klstab.errors import BoundaryAmbiguity
-from klstab.poly import (
-    ComplexPolynomial,
-    count_roots_in_disk,
-    find_roots,
-    min_modulus_on_circle,
-)
+from klstab.poly import ComplexPolynomial, find_roots, min_modulus_on_circle
 from klstab.scheme import characteristic_polynomial, template
 
 
@@ -71,36 +65,12 @@ def test_permutation_stability():
         assert find_roots(p).roots == first
 
 
-def test_count_roots_in_disk_basic():
-    p = ComplexPolynomial([-1, 0, 1])
-    rs = find_roots(p)
-    assert count_roots_in_disk(p, 0.0, 1.5, rs) == 2
-    assert count_roots_in_disk(p, 0.0, 0.5, rs) == 0
-
-
-def test_count_roots_whole_plane_equals_degree(rng):
-    for _ in range(10):
-        d = int(rng.integers(1, 7))
-        coeffs = rng.standard_normal(d + 1)
-        coeffs[-1] = 1.0
-        p = ComplexPolynomial(coeffs)
-        rs = find_roots(p)
-        assert count_roots_in_disk(p, 0.0, 1e9, rs) == d
-
-
 def test_count_roots_o3_unit_disk_matches_brute_force():
     s = template("o3")(0.4)
     p = characteristic_polynomial(s, 2.0)
     rs = find_roots(p)
     oracle = np.sum(np.abs(brute_roots(p.coefficients)) < 1.0)
-    assert count_roots_in_disk(p, 0.0, 1.0, rs) == oracle == s.r
-
-
-def test_count_roots_boundary_ambiguity():
-    p = ComplexPolynomial([-1, 0, 1])
-    rs = find_roots(p)
-    with pytest.raises(BoundaryAmbiguity):
-        count_roots_in_disk(p, 0.0, 1.0, rs)
+    assert sum(abs(x) < 1.0 for x in rs.roots) == oracle == s.r
 
 
 def test_min_modulus_identity():
