@@ -1,16 +1,18 @@
 """Boundary matrices: ghost extrapolation B, its eliminated form, and reconstructions.
 
 The raw matrix B expresses the r ghost values (U_{-r}, ..., U_{-1}) as linear
-combinations of the first m interior values.  Substituting the ghosts into the
-interior update for rows 0..r-1 eliminates them and produces the r x m matrix
-calB with (U_0, ..., U_{r-1})^{n+1} = calB (U_0, ..., U_{m-1})^n for zero
-boundary data.
+combinations of the first m interior values.  The interior update for rows
+0..r-1 is one stencil matrix over the ghost and interior columns; substituting
+the ghosts into it eliminates them and produces the r x m matrix calB with
+(U_0, ..., U_{r-1})^{n+1} = calB (U_0, ..., U_{m-1})^n for zero boundary data.
 
 The reconstruction procedure of order d with k_d time-derivative substitutions
 handles a physical boundary offset by sigma*dx from grid point 0: ghost and
 interior cell averages of a Taylor polynomial about the boundary give two
 matrices Y_minus (ghost rows) and Y_plus (interior rows), and B = Y_minus
-Y_plus^{-1} zero-padded to width m.
+Y_plus^{-1} zero-padded to width m.  B comes from a library solve; a
+singular-value ratio test on Y_plus rejects a numerically singular system
+first.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ShapeMismatch, SingularYPlus
 from .scheme import Scheme
 
-PIVOT_RATIO_MIN = 1e-13
+SINGULAR_RATIO_MIN = 1e-13
 CALB_REBUILD_TOL = 1e-10
 
 
@@ -77,49 +79,34 @@ def reconstruction_matrices(
     return y_minus, y_plus
 
 
-def _solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a X = b by Gaussian elimination, rejecting near-singular pivots."""
-    a = a.astype(float).copy()
-    b = b.astype(float).copy()
-    n = a.shape[0]
-    scale = np.max(np.abs(a)) or 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < PIVOT_RATIO_MIN * scale:
-            raise SingularYPlus(
-                f"pivot {a[piv, col]:.3e} below {PIVOT_RATIO_MIN:.0e} of scale {scale:.3e}"
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            f = a[row, col] / a[col, col]
-            a[row, col:] -= f * a[col, col:]
-            b[row] -= f * b[col]
-    x = np.zeros_like(b)
-    for col in range(n - 1, -1, -1):
-        x[col] = (b[col] - a[col, col + 1 :] @ x[col + 1 :]) / a[col, col]
-    return x
-
-
 def reconstruction_B(spec: ReconstructionSpec, r: int, m: int) -> np.ndarray:
-    """B = Y_minus Y_plus^{-1} in the first d-k_d-1 columns, zero-padded to width m."""
+    """B = Y_minus Y_plus^{-1} in the first d-k_d-1 columns, zero-padded to width m.
+
+    The library solve runs behind a singular-value guard: SingularYPlus is
+    raised when Y_plus's smallest singular value is at most SINGULAR_RATIO_MIN
+    times its largest.
+    """
     w = spec.width
     if m < w:
         raise ShapeMismatch(f"m={m} must be >= d-k_d-1={w}")
     y_minus, y_plus = reconstruction_matrices(spec, r)
-    core = _solve_partial_pivot(y_plus.T, y_minus.T).T
+    sv = np.linalg.svd(y_plus, compute_uv=False)
+    if sv[-1] <= SINGULAR_RATIO_MIN * sv[0]:
+        raise SingularYPlus(
+            f"Y_plus singular values {sv[-1]:.3e} / {sv[0]:.3e} "
+            f"at or below ratio {SINGULAR_RATIO_MIN:.0e}"
+        )
     out = np.zeros((r, m))
-    out[:, :w] = core
+    out[:, :w] = np.linalg.solve(y_plus.T, y_minus.T).T
     return out
 
 
 def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
-    """Eliminate ghosts: calB = T B + S.
+    """Eliminate ghosts: calB = A[:, :r] B + A[:, r:].
 
-    T is the r x r upper-triangular band of left coefficients (row i holds
-    a_{-r}, ..., a_{-1} shifted right by i) and S the r x m interior band
-    (row i holds a_{j-i} at column j for j-i in [-r, p], columns j >= 0).
+    A is the r x (r+m) stencil of the first r interior updates over the
+    columns (U_{-r}, ..., U_{-1}, U_0, ..., U_{m-1}): row i holds a_k at
+    column r+i+k.  Its ghost block multiplies B, its interior block is added.
     """
     B = np.asarray(B, dtype=float)
     r, p = s.r, s.p
@@ -128,17 +115,11 @@ def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
     m = B.shape[1]
     if m < p + r:
         raise ShapeMismatch(f"m={m} must be >= p+r={p + r}")
-    T = np.zeros((r, r))
+    coeffs = s.coeff_array()
+    A = np.zeros((r, r + m))
     for i in range(r):
-        for j in range(i, r):
-            T[i, j] = s.coeffs[-r + (j - i)]
-    S = np.zeros((r, m))
-    for i in range(r):
-        for j in range(m):
-            k = j - i
-            if -r <= k <= p:
-                S[i, j] = s.coeffs[k]
-    return T @ B + S
+        A[i, i : i + r + p + 1] = coeffs
+    return A[:, :r] @ B + A[:, r:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,6 +45,7 @@ from .winding import needs_refinement
 CLUSTER_TOL = 1e-7
 EPSILON_CAP = 0.1
 MAX_REFINE_DEPTH = 20
+MIN_INIT_SAMPLES = 64
 ORIGIN_RESOLUTION = 1e-13
 
 STRICT_INSIDE = "strict_inside"
@@ -182,7 +183,7 @@ def _select(s, z, roots):
     if len(chosen) != s.r:
         raise CauchyViolation(
             f"selected {len(chosen)} roots instead of r={s.r} at z={z}; "
-            f"|roots|={sorted(moduli)}"
+            f"|roots|={sorted(moduli.tolist())}"
         )
     return chosen, tags
 
@@ -351,8 +352,8 @@ def kl_curve(
     numerically on the curve and RefinementExhausted is raised; verdict layers
     report that as marginal.
     """
-    if n_init < 64:
-        raise ValueError("n_init must be >= 64")
+    if n_init < MIN_INIT_SAMPLES:
+        raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
     if s.r < 1:
         raise ValueError("curve requires r >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)

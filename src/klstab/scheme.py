@@ -65,29 +65,27 @@ def symbol(s: Scheme, xi: float) -> complex:
     return complex(sum(a * np.exp(1j * k * xi) for k, a in s.coeffs.items()))
 
 
-def symbol_many(s: Scheme, xis: np.ndarray) -> np.ndarray:
-    ks = np.arange(-s.r, s.p + 1)
-    return np.exp(1j * np.outer(xis, ks)) @ s.coeff_array().astype(complex)
-
-
 def is_cauchy_stable(s: Scheme) -> CauchyReport:
     """Check max_xi |gamma(xi)| <= 1 + CAUCHY_TOL on CAUCHY_SAMPLES equispaced xi.
 
-    Reports the worst offender.
+    The moduli come from one FFT of the coefficient array: entry i of the
+    transform is exp(-i r xi_i) conj(gamma(xi_i)) at xi_i = 2 pi i / N, because
+    the coefficients are real.  Reports the worst offender.  Where the maximum
+    ties within rounding, as at xi and its mirror 2 pi - xi or on a flat
+    maximum near xi = 0, ``xi_worst`` may be any of the tied samples.
     """
-    xis = np.linspace(0.0, 2.0 * np.pi, CAUCHY_SAMPLES, endpoint=False)
-    mods = np.abs(symbol_many(s, xis))
+    mods = np.abs(np.fft.fft(s.coeff_array(), CAUCHY_SAMPLES))
     i = int(np.argmax(mods))
     return CauchyReport(
-        bool(mods[i] <= 1.0 + CAUCHY_TOL), float(xis[i]), float(mods[i])
+        bool(mods[i] <= 1.0 + CAUCHY_TOL),
+        2.0 * np.pi * i / CAUCHY_SAMPLES,
+        float(mods[i]),
     )
 
 
 def characteristic_coefficients(s: Scheme, z: complex) -> np.ndarray:
     """Ascending coefficients of P_z(kappa) = sum a_k kappa^{r+k} - z kappa^r."""
-    cs = np.zeros(s.r + s.p + 1, dtype=complex)
-    for k, a in s.coeffs.items():
-        cs[s.r + k] += a
+    cs = s.coeff_array().astype(complex)
     cs[s.r] -= z
     return cs
 

@@ -23,7 +23,7 @@ from .errors import (
     OriginOnCurve,
     RefinementExhausted,
 )
-from .kldet import MAX_REFINE_DEPTH, KLCurve, kl_curve
+from .kldet import MAX_REFINE_DEPTH, MIN_INIT_SAMPLES, KLCurve, kl_curve
 from .scheme import SchemeTemplate, is_cauchy_stable
 from .winding import winding_number
 
@@ -81,7 +81,8 @@ def check(
 
     status stable/unstable carries a certified winding; marginal means the
     curve approached the origin below resolution; invalid_precondition covers
-    Cauchy failures, r = 0, and selection breakdowns (diagnostics say which).
+    bad lambda or n_init, Cauchy failures, r = 0, and selection breakdowns
+    (diagnostics say which).
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 
@@ -97,6 +98,9 @@ def _check(
     diag: dict = {"lambda": lam}
     if lam <= 0:
         diag["error"] = "lambda must be positive"
+        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+    if n_init < MIN_INIT_SAMPLES:
+        diag["error"] = f"n_init must be >= {MIN_INIT_SAMPLES}"
         return StabilityVerdict(None, None, STATUS_INVALID, diag), None
     try:
         scheme = s_template(lam)

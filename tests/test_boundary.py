@@ -82,6 +82,26 @@ def test_singular_y_plus_rejected():
         reconstruction_B(ReconstructionSpec(d=2, k_d=0, sigma=0.0), r=1, m=1)
 
 
+def test_reconstruction_B_rejects_only_singular_specs():
+    # the singular-value guard rejects exactly the even-order single-column
+    # systems at sigma = 0; every other B solves its system to rounding
+    rejected = set()
+    for d in range(1, 9):
+        for k_d in range(-1, d - 1):
+            for sigma in np.append(np.linspace(-0.5, 0.49, 34), 0.0):
+                spec = ReconstructionSpec(d, k_d, float(sigma))
+                for r in (1, 2, 3):
+                    try:
+                        b = reconstruction_B(spec, r, spec.width)
+                    except SingularYPlus:
+                        rejected.add((d, k_d, float(sigma), r))
+                        continue
+                    y_minus, y_plus = reconstruction_matrices(spec, r)
+                    scale = np.max(np.abs(b)) * np.max(np.abs(y_plus))
+                    assert np.max(np.abs(b @ y_plus - y_minus)) <= 1e-14 * scale
+    assert rejected == {(d, d - 2, 0.0, r) for d in (2, 4, 6, 8) for r in (1, 2, 3)}
+
+
 def test_reconstruction_B_shape_guard():
     with pytest.raises(ShapeMismatch):
         reconstruction_B(ReconstructionSpec(3, 0, 0.4), r=2, m=1)
@@ -122,6 +142,31 @@ def test_build_calB_affine_in_B(rng):
         + build_calB(np.zeros((2, 3)), s)
     )
     assert np.max(np.abs(lhs)) <= 1e-14
+
+
+def _calB_by_bands(B, s):
+    """T B + S from the separate ghost band T and interior band S, the old loops."""
+    r, p = s.r, s.p
+    m = B.shape[1]
+    T = np.zeros((r, r))
+    for i in range(r):
+        for j in range(i, r):
+            T[i, j] = s.coeffs[-r + (j - i)]
+    S = np.zeros((r, m))
+    for i in range(r):
+        for j in range(m):
+            if -r <= j - i <= p:
+                S[i, j] = s.coeffs[j - i]
+    return T @ B + S
+
+
+@pytest.mark.parametrize("name", ["upwind", "naive_average", "o3", "lw5"])
+def test_build_calB_matches_band_reference(name, rng):
+    for lam in rng.uniform(0.05, 2.0, size=10):
+        s = template(name)(float(lam))
+        for m in range(s.r + s.p, s.r + s.p + 4):
+            B = rng.uniform(-2.0, 2.0, size=(s.r, m))
+            assert np.array_equal(build_calB(B, s), _calB_by_bands(B, s))
 
 
 def test_build_calB_shape_guards():

@@ -36,6 +36,16 @@ def test_check_unstable_line(capsys):
     assert out.strip() == "status=unstable winding=1 zeros=1"
 
 
+def test_check_small_samples_is_invalid_line(capsys):
+    code, out, _ = run_cli(
+        ["check", "--scheme", "o3", "--boundary", "R3,0",
+         "--sigma", "-0.4", "--lambda", "0.4", "--samples", "10"],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() == "status=invalid_precondition winding=na zeros=na"
+
+
 def test_check_marginal_exit_zero(tmp_path, capsys):
     bpath = tmp_path / "naive.bnd"
     bpath.write_text("matrix 1 2\n0.5 0.5\n")

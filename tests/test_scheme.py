@@ -5,6 +5,8 @@ from conftest import brute_roots
 from klstab.errors import SeparationFailure
 from klstab.poly import RootSet, find_roots
 from klstab.scheme import (
+    CAUCHY_SAMPLES,
+    CAUCHY_TOL,
     Scheme,
     characteristic_polynomial,
     hersh_split,
@@ -69,6 +71,27 @@ def test_cauchy_unstable_reports_offender():
         for xi in np.linspace(0, 2 * np.pi, 2000, endpoint=False)
     )
     assert report.max_modulus == pytest.approx(dense, rel=1e-3)
+
+
+def _cauchy_by_exp_matrix(s):
+    """(stable, max modulus) by the explicit exp(i k xi) matrix, the pre-FFT kernel."""
+    xis = np.linspace(0.0, 2.0 * np.pi, CAUCHY_SAMPLES, endpoint=False)
+    ks = np.arange(-s.r, s.p + 1)
+    mods = np.abs(np.exp(1j * np.outer(xis, ks)) @ s.coeff_array().astype(complex))
+    peak = float(np.max(mods))
+    return peak <= 1.0 + CAUCHY_TOL, peak
+
+
+@pytest.mark.parametrize("name", ["upwind", "o3", "lw5", "naive_average"])
+def test_cauchy_fft_matches_exp_matrix(name):
+    for lam in np.append(np.linspace(0.01, 2.0, 100), 1.0):
+        s = template(name)(float(lam))
+        report = is_cauchy_stable(s)
+        stable, peak = _cauchy_by_exp_matrix(s)
+        assert report.stable == stable
+        assert report.max_modulus == pytest.approx(peak, rel=1e-15)
+        worst = abs(symbol(s, report.xi_worst))
+        assert worst == pytest.approx(report.max_modulus, rel=1e-15)
 
 
 def test_characteristic_polynomial_shift():

@@ -102,6 +102,20 @@ def test_nonpositive_lambda_is_invalid():
     assert v.status == STATUS_INVALID
 
 
+def test_small_n_init_is_invalid_in_check_and_sweep():
+    v = check(template("o3"), ReconstructionSpec(3, 0, -0.4), 0.4, n_init=10)
+    assert v.status == STATUS_INVALID
+    assert v.diagnostics["error"] == "n_init must be >= 64"
+    grid = sweep(
+        template("o3"),
+        lambda s: ReconstructionSpec(3, 0, s),
+        [0.4],
+        [-0.4, 0.2],
+        n_init=10,
+    )
+    assert [v.status for v in grid.results[0]] == [STATUS_INVALID, STATUS_INVALID]
+
+
 def test_marginal_when_curve_touches_origin():
     # the centered-average scheme with its own halfcell average boundary has a
     # determinant zero at z = 1, so the curve cannot be certified off the origin
