@@ -5,6 +5,7 @@ import pytest
 
 from conftest import B_GOLDEN, Y_MINUS_GOLDEN, Y_PLUS_GOLDEN, o3_calB_golden
 from klstab.boundary import (
+    SINGULAR_RATIO_MIN,
     BoundaryCondition,
     ReconstructionSpec,
     build_calB,
@@ -100,6 +101,58 @@ def test_reconstruction_B_rejects_only_singular_specs():
                     scale = np.max(np.abs(b)) * np.max(np.abs(y_plus))
                     assert np.max(np.abs(b @ y_plus - y_minus)) <= 1e-14 * scale
     assert rejected == {(d, d - 2, 0.0, r) for d in (2, 4, 6, 8) for r in (1, 2, 3)}
+
+
+def _solve_partial_pivot(a, b):
+    """Solve a X = b by Gaussian elimination, rejecting a pivot below 1e-13 of
+    max|a|: the hand-written solve that np.linalg.solve and the singular-value
+    guard replaced."""
+    a = a.astype(float).copy()
+    b = b.astype(float).copy()
+    n = a.shape[0]
+    scale = np.max(np.abs(a)) or 1.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[piv, col]) < 1e-13 * scale:
+            raise SingularYPlus("pivot")
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+        for row in range(col + 1, n):
+            f = a[row, col] / a[col, col]
+            a[row, col:] -= f * a[col, col:]
+            b[row] -= f * b[col]
+    x = np.zeros_like(b)
+    for col in range(n - 1, -1, -1):
+        x[col] = (b[col] - a[col, col + 1 :] @ x[col + 1 :]) / a[col, col]
+    return x
+
+
+def test_singular_value_guard_against_pivot_reference():
+    # Y_plus does not depend on r, so r = 1 covers every rejection.  Up to
+    # d = 14 both rules reject the same specs; at d = 15 and 16 the guard also
+    # rejects systems whose singular-value ratio is at most SINGULAR_RATIO_MIN
+    # but whose pivots passed, and never accepts one the pivot rule rejected.
+    for d in range(1, 17):
+        for k_d in range(-1, d - 1):
+            for sigma in np.append(np.linspace(-0.5, 0.49, 34), 0.0):
+                spec = ReconstructionSpec(d, k_d, float(sigma))
+                y_minus, y_plus = reconstruction_matrices(spec, 1)
+                try:
+                    _solve_partial_pivot(y_plus.T, y_minus.T)
+                    pivot_rejects = False
+                except SingularYPlus:
+                    pivot_rejects = True
+                try:
+                    reconstruction_B(spec, 1, spec.width)
+                    guard_rejects = False
+                except SingularYPlus:
+                    guard_rejects = True
+                if d <= 14 or pivot_rejects:
+                    assert guard_rejects == pivot_rejects, spec
+                elif guard_rejects:
+                    sv = np.linalg.svd(y_plus, compute_uv=False)
+                    assert sv[-1] <= SINGULAR_RATIO_MIN * sv[0], spec
 
 
 def test_reconstruction_B_shape_guard():

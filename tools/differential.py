@@ -1,10 +1,10 @@
 """Differential record of klstab's outputs for one checkout, and a comparison of two.
 
-    python3 tools/differential.py record <src-dir> <out.json> [--count N]
+    python3 tools/differential.py record <src-dir> <out.json>
     python3 tools/differential.py compare <a.json> <b.json>
 
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
-error, runs a seeded list of ``verdict._check`` inputs: upwind, o3 and lw5 in
+error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
 R<d>,<k_d> or random ghost matrices B; and, last, one upwind R3,-1
 extrapolation check that exhausts refinement.  It then runs the o3 R3,0 12x12
@@ -34,7 +34,7 @@ from collections import Counter
 import numpy as np
 
 SEED = 0
-DEFAULT_COUNT = 360
+COUNT = 360
 N_INIT = 256
 STENCILS = {"upwind": (1, 0), "o3": (2, 1), "lw5": (3, 2)}  # name -> (r, p)
 EXTRAPOLATION = {"scheme": "upwind", "lam": 0.4, "recon": [3, -1, 0.2]}
@@ -132,8 +132,8 @@ def record_maps() -> dict[str, str]:
     return out
 
 
-def record(count: int) -> dict:
-    inputs = check_inputs(count) + [EXTRAPOLATION]
+def record() -> dict:
+    inputs = check_inputs(COUNT) + [EXTRAPOLATION]
     return {
         "inputs": inputs,
         "checks": [run_check(inp) for inp in inputs],
@@ -218,7 +218,6 @@ def main(argv=None) -> int:
     rec = sub.add_parser("record", help="record one checkout's outputs")
     rec.add_argument("src_dir", help="directory that holds the klstab package")
     rec.add_argument("out", help="JSON file to write")
-    rec.add_argument("--count", type=int, default=DEFAULT_COUNT, help="seeded checks")
     cmp = sub.add_parser("compare", help="compare two records")
     cmp.add_argument("a")
     cmp.add_argument("b")
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
             print(f"error: klstab imported from {klstab.__file__}", file=sys.stderr)
             return 1
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record(args.count), fh)
+            json.dump(record(), fh)
         return 0
 
     with open(args.a, encoding="utf-8") as fh:
