@@ -14,9 +14,13 @@ Each kernel has one implementation over a batch of z values: characteristic
 rows (``_char_rows``), the monic product (``_monic_product``), the column fold
 (``_fold_columns``) and the determinant (``_delta_batch``).  The scalar names
 ``sigmas_from_roots``, ``reduce_Btilde`` and ``delta`` are one-row calls of
-them.  The batch solves P_z once for all its points.  Points whose roots all
-sit clear of the circle take r inside roots directly; the rest pass their
-already-solved roots, one point at a time, to ``select_stable_roots``.
+them.  The roots and their sigma(z) depend only on the scheme and z; the
+boundary enters only through the fold.  So ``_stable_sigmas`` keeps sigma(z)
+in the scheme's ``sigma_table``, and every boundary evaluated on the same
+Scheme instance (a sweep's lambda row) solves each z once.  A batch solves P_z
+once for the points the table lacks.  Points whose roots all sit clear of the
+circle take r inside roots directly; the rest pass their already-solved roots,
+one point at a time, to ``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -317,25 +321,42 @@ def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
     return _trim_batch(rows, s.r)
 
 
-def _delta_batch(s: Scheme, bc: BoundaryCondition, zs: np.ndarray) -> np.ndarray:
-    """Delta at each z of a 1-D array on or outside the circle.
+def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
+    """sigma(z) at each z of a 1-D array: the scheme-side half of Delta.
 
-    A point whose roots all sit clear of the circle band, r of them inside,
-    takes the batched split; any other point goes through select_stable_roots.
+    Points already in ``s.sigma_table`` are read from it.  The rest are solved
+    in one batch and stored: a point whose roots all sit clear of the circle
+    band, r of them inside, takes the batched split; any other point goes
+    through select_stable_roots.
     """
+    found, sig = s.sigma_table.lookup(zs)
+    if np.all(found):
+        return sig
     r = s.r
-    roots = find_roots_many(_char_rows(s, zs))[0]
+    new_zs = zs[~found]
+    roots = find_roots_many(_char_rows(s, new_zs))[0]
     moduli = np.abs(roots)
     inside = moduli < 1.0 - TOL_UNIT
     clear = np.abs(moduli - 1.0) > CLUSTER_TOL
     fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == r)
 
-    sig = np.empty((len(zs), r), dtype=complex)
-    sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, r))
+    new = np.empty((len(new_zs), r), dtype=complex)
+    new[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, r))
     for i in np.flatnonzero(~fast):
-        sig[i] = select_stable_roots(s, complex(zs[i]), roots[i]).sigmas
-    bt = _fold_columns(bc.calB, sig)
-    return np.linalg.det(zs[:, None, None] * np.eye(r) - bt)
+        new[i] = select_stable_roots(s, complex(new_zs[i]), roots[i]).sigmas
+    s.sigma_table.add(new_zs, new)
+    sig[~found] = new
+    return sig
+
+
+def _delta_batch(s: Scheme, bc: BoundaryCondition, zs: np.ndarray) -> np.ndarray:
+    """Delta at each z of a 1-D array on or outside the circle.
+
+    The boundary-side half: fold calB with the scheme's sigma(z), then take
+    det(z I - Bt).
+    """
+    bt = _fold_columns(bc.calB, _stable_sigmas(s, zs))
+    return np.linalg.det(zs[:, None, None] * np.eye(s.r) - bt)
 
 
 def kl_curve(

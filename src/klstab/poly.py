@@ -99,7 +99,10 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ----------
     coeff_rows : (n, d+1) complex array, ascending degree, nonzero last column.
 
-    Raises NonConvergence when a backward-error residual exceeds ROOT_TOL.
+    Each row iterates until its own Aberth step falls below _STEP_TOL, so a
+    row's roots depend only on its coefficients, bit for bit, whatever batch
+    it is solved in.  Raises NonConvergence when a backward-error residual
+    exceeds ROOT_TOL.
 
     Returns
     -------
@@ -129,12 +132,14 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     x = _initial_guesses(monic)
     eye = np.eye(d, dtype=bool)
+    active = np.arange(n)
+    xa, ma, da = x, monic, dcoef
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ABERTH_MAX_SWEEPS):
-            p = _horner_many(monic, x)
-            dp = _horner_many(dcoef, x)
+            p = _horner_many(ma, xa)
+            dp = _horner_many(da, xa)
             newton = p / np.where(dp == 0, 1e-300, dp)
-            diff = x[:, :, None] - x[:, None, :]
+            diff = xa[:, :, None] - xa[:, None, :]
             diff[:, eye] = np.inf
             s = np.nansum(1.0 / diff, axis=2)
             denom = 1.0 - newton * s
@@ -142,9 +147,13 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             bad = ~np.isfinite(step)
             if np.any(bad):
                 step = np.where(bad, newton, step)
-            x = x - step
-            if np.max(np.abs(step) / (1.0 + np.abs(x))) <= _STEP_TOL:
-                break
+            xa = xa - step
+            x[active] = xa
+            going = ~(np.max(np.abs(step) / (1.0 + np.abs(xa)), axis=1) <= _STEP_TOL)
+            if not np.all(going):
+                if not np.any(going):
+                    break
+                active, xa, ma, da = active[going], xa[going], ma[going], da[going]
 
     scale = np.zeros(x.shape, dtype=float)
     ax = np.abs(x)

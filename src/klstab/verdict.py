@@ -12,6 +12,7 @@ numerically on the curve, which also violates the stability condition).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,7 +153,11 @@ def sweep(
     sigma_values: Sequence[float],
     n_init: int = 256,
 ) -> SweepGrid:
-    """Independent check calls over the grid; cells never abort the sweep."""
+    """One check per cell; cells never abort the sweep.
+
+    Each lambda row builds its scheme once, so the row's cells share the
+    scheme's sigma table.  A cell's verdict equals that of a standalone check.
+    """
     lams = tuple(float(x) for x in lambda_values)
     sigs = tuple(float(x) for x in sigma_values)
     if not lams or not sigs:
@@ -160,11 +165,12 @@ def sweep(
     if list(lams) != sorted(lams) or list(sigs) != sorted(sigs):
         raise ValueError("grid values must be ascending")
 
+    row_scheme = lru_cache(maxsize=1)(s_template)
     results = [
-        [check(s_template, bc_family(sig), lam, n_init=n_init) for sig in sigs]
+        [check(row_scheme, bc_family(sig), lam, n_init=n_init) for sig in sigs]
         for lam in lams
     ]
-    r = s_template(max(lams)).r
+    r = row_scheme(lams[-1]).r
     return SweepGrid(lambda_values=lams, sigma_values=sigs, results=results, r=r)
 
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -332,6 +335,43 @@ def test_delta_conjugate_symmetry(rng):
         a = delta(s, bc, z)
         b = delta(s, bc, np.conj(z))
         assert abs(b - np.conj(a)) <= 1e-9 * (1 + abs(a))
+
+
+@pytest.mark.parametrize("name, d", [("upwind", 2), ("o3", 3), ("lw5", 5)])
+@pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
+def test_delta_conjugate_symmetry_real_B(name, d, lam, rng):
+    # real scheme and real B: P_{conj z} has the conjugate roots of P_z, so
+    # D(conj z) = conj D(z), on the circle and outside it
+    s = template(name)(lam)
+    bcs = [BoundaryCondition.from_reconstruction(ReconstructionSpec(d, 0, -0.3), s)]
+    for width in range(s.r + s.p, s.r + s.p + 4):
+        bcs.append(BoundaryCondition.from_matrix(rng.uniform(-2, 2, (s.r, width)), s))
+    for bc in bcs:
+        for modulus in (1.0, 1.0, *rng.uniform(1.0, 3.0, size=3)):
+            z = modulus * np.exp(1j * rng.uniform(0.0, np.pi))
+            a = delta(s, bc, z)
+            assert abs(delta(s, bc, np.conj(z)) - np.conj(a)) <= 1e-12 * abs(a)
+
+
+def test_threads_sharing_a_scheme_trace_the_same_curves():
+    # threads that trace curves on one Scheme share its sigma table; a torn
+    # update would hand a curve the wrong sigma(z), a lost one only re-solves
+    tmpl = template("o3")
+    sigmas = np.linspace(-0.45, 0.45, 8)
+    bcs = [recon_bc(tmpl, 0.6, 3, 0, sig) for sig in sigmas]
+    expected = [kl_curve(tmpl(0.6), bc) for bc in bcs]
+    shared = tmpl(0.6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(kl_curve, shared, bc) for bc in bcs]
+            curves = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(curves, expected):
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.values, want.values)
 
 
 def test_curve_csv_round_trip(tmp_path):

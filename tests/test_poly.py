@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import brute_roots
-from klstab.poly import ComplexPolynomial, find_roots, min_modulus_on_circle
+from klstab.kldet import _char_rows
+from klstab.poly import (
+    ComplexPolynomial,
+    find_roots,
+    find_roots_many,
+    min_modulus_on_circle,
+)
 from klstab.scheme import characteristic_polynomial, template
 
 
@@ -102,3 +108,19 @@ def test_roots_match_brute_force_random(rng):
         mine = np.array(sorted(rs.roots, key=lambda x: (x.real, x.imag)))
         ref = np.array(sorted(brute_roots(coeffs), key=lambda x: (x.real, x.imag)))
         assert np.max(np.abs(mine - ref)) <= 1e-7 * (1 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [("upwind", 0.7), ("o3", 0.5), ("o3", 1.0), ("lw5", 0.7), ("lw5", 1.0)],
+)
+def test_find_roots_many_rows_are_batch_independent(name, lam):
+    # each row stops on its own step, so it is solved bit for bit alike alone,
+    # in a sub-batch and in the full 256-point batch
+    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+    rows = _char_rows(template(name)(lam), zs)
+    full = find_roots_many(rows)[0]
+    sub = find_roots_many(rows[3::7])[0]
+    assert np.array_equal(full[3::7], sub)
+    for i in range(len(zs)):
+        assert np.array_equal(find_roots_many(rows[i : i + 1])[0][0], full[i]), i

@@ -8,6 +8,7 @@ from klstab.scheme import (
     CAUCHY_SAMPLES,
     CAUCHY_TOL,
     Scheme,
+    SigmaTable,
     characteristic_polynomial,
     hersh_split,
     is_cauchy_stable,
@@ -193,3 +194,23 @@ def test_template_lookup_case_insensitive():
     assert template("LW5").name == "lw5"
     with pytest.raises(KeyError):
         template("nope")
+
+
+def test_sigma_table_lookup_and_add():
+    table = SigmaTable(2)
+    found, rows = table.lookup(np.array([1.0 + 0j]))
+    assert not found.any() and rows.shape == (1, 2)
+    zs = np.array([1j, -1.0, 1.0, 0.5 - 2j])
+    table.add(zs, np.column_stack([zs, 2 * zs]))
+    table.add(np.array([2.0 + 0j]), np.array([[3.0, 4.0]]))
+    found, rows = table.lookup(np.array([2.0, 1j, 3.0, -1.0, np.nextafter(1.0, 2.0)]))
+    assert found.tolist() == [True, True, False, True, False]
+    assert np.array_equal(rows, [[3, 4], [1j, 2j], [0, 0], [-1, -2], [0, 0]])
+
+
+def test_sigma_table_is_not_part_of_scheme_identity():
+    a, b = template("o3")(0.5), template("o3")(0.5)
+    a.sigma_table.add(np.array([1.0 + 0j]), np.zeros((1, 2)))
+    assert a == b and "sigma_table" not in repr(a)
+    assert a.sigma_table.lookup(np.array([1.0 + 0j]))[0].tolist() == [True]
+    assert b.sigma_table.lookup(np.array([1.0 + 0j]))[0].tolist() == [False]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import klstab.kldet
 from klstab.boundary import ReconstructionSpec
 from klstab.errors import EmptyGrid
 from klstab.kldet import delta
@@ -153,19 +154,34 @@ def test_sweep_empty_grid_rejected():
 
 
 def test_sweep_matches_individual_checks(rng):
-    lams = sorted(rng.uniform(0.1, 1.0, size=4))
-    sigs = sorted(rng.uniform(-0.45, 0.45, size=4))
-    grid = sweep(template("o3"), lambda s: ReconstructionSpec(3, 0, s), lams, sigs)
-    for _ in range(6):
-        i = int(rng.integers(0, 4))
-        j = int(rng.integers(0, 4))
-        single = check(template("o3"), ReconstructionSpec(3, 0, sigs[j]), lams[i])
-        cell = grid.results[i][j]
-        assert (cell.status, cell.winding, cell.unstable_zeros) == (
-            single.status,
-            single.winding,
-            single.unstable_zeros,
-        )
+    # a row's cells share its scheme's sigma table; every verdict, diagnostics
+    # included, must still equal the standalone check's bit for bit
+    for name, d in (("o3", 3), ("lw5", 5)):
+        lams = sorted(rng.uniform(0.1, 1.0, size=3)) + [1.0]
+        sigs = sorted(rng.uniform(-0.45, 0.45, size=4))
+        grid = sweep(template(name), lambda s: ReconstructionSpec(d, 0, s), lams, sigs)
+        for i, lam in enumerate(lams):
+            for j, sig in enumerate(sigs):
+                single = check(template(name), ReconstructionSpec(d, 0, sig), lam)
+                assert grid.results[i][j] == single, (name, lam, sig)
+
+
+def test_sweep_row_solves_the_scheme_side_once(monkeypatch):
+    # o3 at lambda = 1: all 256 samples take the Rouche fallback; the row's
+    # three cells share them instead of solving 768
+    calls = []
+    rouche = klstab.kldet.min_modulus_on_circle
+
+    def counting_rouche(*args):
+        calls.append(args)
+        return rouche(*args)
+
+    monkeypatch.setattr(klstab.kldet, "min_modulus_on_circle", counting_rouche)
+    grid = sweep(
+        template("o3"), lambda s: ReconstructionSpec(3, 0, s), [1.0], [-0.4, 0.0, 0.3]
+    )
+    assert all(v.certified for v in grid.results[0])
+    assert len(calls) == 256
 
 
 def test_sweep_zeros_bounded_by_r():
