@@ -42,7 +42,7 @@ class OriginOnCurve(KLStabError):
 
 
 class RefinementExhausted(KLStabError):
-    """Adaptive curve refinement hit max depth with the curve unresolvably close to 0."""
+    """A curve sample within ORIGIN_RESOLUTION of 0: no refinement can certify it."""
 
 
 class EmptyGrid(KLStabError):

@@ -368,10 +368,11 @@ def kl_curve(
     """Sample Delta on the unit circle with adaptive bisection refinement.
 
     Bisection of an arc stops once the winding predicate accepts the segment or
-    the arc has been halved ``max_depth`` times.  If refinement is exhausted
-    with the curve within ORIGIN_RESOLUTION of the origin, the point 0 is
-    numerically on the curve and RefinementExhausted is raised; verdict layers
-    report that as marginal.
+    the arc has been halved ``max_depth`` times.  A sample within
+    ORIGIN_RESOLUTION of the origin puts 0 numerically on the curve: both its
+    segments stay flagged in every round (PROXIMITY_FLOOR is larger), so each
+    round checks for one first and raises RefinementExhausted with its theta
+    and |Delta|; verdict layers report that as marginal.
     """
     if n_init < MIN_INIT_SAMPLES:
         raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
@@ -382,25 +383,24 @@ def kl_curve(
     depths = np.zeros(n_init, dtype=int)
 
     while True:
+        near = int(np.argmin(np.abs(values)))
+        if abs(values[near]) < ORIGIN_RESOLUTION:
+            raise RefinementExhausted(
+                f"|D| = {abs(values[near]):.3g} below {ORIGIN_RESOLUTION} "
+                f"at theta = {thetas[near]:.17g}"
+            )
         # segment i runs from sample i to sample i + 1, the last one back to 0
         flags = needs_refinement(values, np.roll(values, -1))
         child = np.maximum(depths, np.roll(depths, -1)) + 1
         split = np.flatnonzero(flags & (child <= max_depth))
         if not len(split):
-            break
+            return KLCurve(thetas=thetas, values=values, depths=depths)
         right = np.append(thetas[1:], 2.0 * np.pi)
         mids = 0.5 * (thetas[split] + right[split])
         new_values = _delta_batch(s, bc, np.exp(1j * mids))
         thetas = np.insert(thetas, split + 1, mids)
         values = np.insert(values, split + 1, new_values)
         depths = np.insert(depths, split + 1, child[split])
-
-    # the last round's flags are those of the final curve
-    if np.any(flags) and float(np.min(np.abs(values))) < ORIGIN_RESOLUTION:
-        raise RefinementExhausted(
-            f"curve within {ORIGIN_RESOLUTION} of the origin at max depth"
-        )
-    return KLCurve(thetas=thetas, values=values, depths=depths)
 
 
 def write_curve_csv(curve: KLCurve, path: str) -> None:

@@ -81,9 +81,12 @@ def check(
     """Decide stability at one (scheme, boundary, lambda) point.
 
     status stable/unstable carries a certified winding; marginal means the
-    curve approached the origin below resolution; invalid_precondition covers
-    bad lambda or n_init, Cauchy failures, r = 0, and selection breakdowns
-    (diagnostics say which).
+    curve approached the origin below resolution: either a sample lies within
+    ORIGIN_RESOLUTION of 0, which ends refinement at once and whose theta and
+    |D| the ``error`` diagnostic names, or refinement ended with the curve
+    still uncertified.  invalid_precondition covers bad lambda (non-positive,
+    or one whose coefficients overflow or are not finite) or n_init, Cauchy
+    failures, r = 0, and selection breakdowns (diagnostics say which).
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 
@@ -105,7 +108,7 @@ def _check(
         return StabilityVerdict(None, None, STATUS_INVALID, diag), None
     try:
         scheme = s_template(lam)
-    except (ValueError, KLStabError) as exc:
+    except (ValueError, OverflowError, KLStabError) as exc:
         diag["error"] = f"scheme construction failed: {exc}"
         return StabilityVerdict(None, None, STATUS_INVALID, diag), None
     if scheme.r == 0:

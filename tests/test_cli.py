@@ -46,6 +46,16 @@ def test_check_small_samples_is_invalid_line(capsys):
     assert out.strip() == "status=invalid_precondition winding=na zeros=na"
 
 
+def test_check_infinite_lambda_is_invalid_line(capsys):
+    code, out, err = run_cli(
+        ["check", "--scheme", "upwind", "--boundary", "R3,0", "--lambda", "inf"],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() == "status=invalid_precondition winding=na zeros=na"
+    assert err == ""
+
+
 def test_check_marginal_exit_zero(tmp_path, capsys):
     bpath = tmp_path / "naive.bnd"
     bpath.write_text("matrix 1 2\n0.5 0.5\n")

@@ -7,7 +7,12 @@ import pytest
 import klstab.kldet
 from conftest import brute_roots, o3_Btilde_golden, recon_bc
 from klstab.boundary import BoundaryCondition, ReconstructionSpec
-from klstab.errors import CauchyViolation, MultipleRoot, ShapeMismatch
+from klstab.errors import (
+    CauchyViolation,
+    MultipleRoot,
+    RefinementExhausted,
+    ShapeMismatch,
+)
 from klstab.kldet import (
     CONTINUED,
     STRICT_INSIDE,
@@ -24,7 +29,7 @@ from klstab.kldet import (
 )
 from klstab.poly import find_roots
 from klstab.scheme import Scheme, characteristic_polynomial, template
-from klstab.verdict import check
+from klstab.verdict import STATUS_MARGINAL, check
 from klstab.winding import winding_number
 
 
@@ -315,6 +320,37 @@ def test_kl_curve_sample_set_pinned(name, d, sigma, lam, n_init, per_depth, refi
     verdict = check(tmpl, ReconstructionSpec(d, 0, sigma), lam, n_init=n_init)
     assert verdict.diagnostics["curve_samples"] == sum(per_depth)
     assert verdict.diagnostics["max_refine_depth"] == len(per_depth) - 1
+
+
+@pytest.mark.parametrize(
+    "name,d,lam,sigma",
+    [
+        ("upwind", 3, 0.4, 0.2),
+        ("o3", 2, 0.5, 0.2),
+        ("o3", 3, 0.5, 0.2),
+        ("lw5", 2, 0.5, 0.2),
+        ("lw5", 5, 0.5, 0.1),
+    ],
+)
+def test_pure_extrapolation_ends_before_refining(name, d, lam, sigma, monkeypatch):
+    # with k_d = -1 the constant mode kappa = 1 meets the boundary condition at
+    # z = 1, so the initial sample at theta = 0 reads |D| below
+    # ORIGIN_RESOLUTION and no refinement round can certify the curve
+    tmpl = template(name)
+    calls = []
+    predicate = klstab.kldet.needs_refinement
+
+    def counting_predicate(*args):
+        calls.append(args)
+        return predicate(*args)
+
+    monkeypatch.setattr(klstab.kldet, "needs_refinement", counting_predicate)
+    with pytest.raises(RefinementExhausted, match=r"at theta = 0$"):
+        kl_curve(tmpl(lam), recon_bc(tmpl, lam, d, -1, sigma))
+    assert calls == []
+    verdict = check(tmpl, ReconstructionSpec(d, -1, sigma), lam)
+    assert verdict.status == STATUS_MARGINAL
+    assert verdict.diagnostics["error"].endswith("at theta = 0")
 
 
 def test_kl_curve_continuity_bound():

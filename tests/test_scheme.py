@@ -187,6 +187,11 @@ def test_parse_scheme_line():
         parse_scheme_line("2 1 0.5 0.5")
     with pytest.raises(ValueError):
         parse_scheme_line("1 1 0.0 0.5 0.5")
+    # a nan or infinite coefficient makes the sum nan, which the consistency
+    # tolerance alone would let through
+    for line in ("1 1 0.5 nan 0.5", "1 1 inf 0.5 -inf"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_scheme_line(line)
 
 
 def test_template_lookup_case_insensitive():

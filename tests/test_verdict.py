@@ -69,6 +69,18 @@ def test_o3_at_lambda_two_checks_without_warning(sigma):
     assert (v.status, v.winding, v.unstable_zeros) == (STATUS_UNSTABLE, 1, 1)
 
 
+@pytest.mark.parametrize("name", ["upwind", "o3", "lw5"])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 1e200])
+def test_unrepresentable_lambda_is_invalid_without_warning(name, lam):
+    # nan and inf give non-finite coefficients; 1e200 overflows the o3 and lw5
+    # polynomials in lambda and leaves upwind's coefficients summing to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(template(name), ReconstructionSpec(3, 0, -0.4), lam)
+    assert v.status == STATUS_INVALID
+    assert v.diagnostics["error"].startswith("scheme construction failed: ")
+
+
 @st.composite
 def check_inputs(draw):
     """A template, lambda in [0.01, 2], and an R<d>,<k_d> spec or a random B."""
@@ -77,7 +89,7 @@ def check_inputs(draw):
     lam = draw(st.floats(0.01, 2.0))
     if draw(st.booleans()):
         d = draw(st.integers(2, 6))
-        k_d = draw(st.integers(0, d - 2))
+        k_d = draw(st.integers(-1, d - 2))
         sigma = draw(st.floats(-0.5, 0.5, exclude_max=True))
         return tmpl, ReconstructionSpec(d, k_d, sigma), lam
     s = tmpl(lam)
@@ -96,6 +108,23 @@ def test_check_never_raises_or_warns(inputs):
     assert v.status in (STATUS_STABLE, STATUS_UNSTABLE, STATUS_MARGINAL, STATUS_INVALID)
     if v.certified:
         assert v.unstable_zeros == tmpl(lam).r - v.winding >= 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(check_inputs())
+def test_certified_verdict_holds_at_doubled_resolution(inputs):
+    # a marginal verdict may certify at a finer resolution, which is what
+    # marginal means; a certified one must not move
+    tmpl, spec, lam = inputs
+    coarse = check(tmpl, spec, lam)
+    if not coarse.certified:
+        return
+    fine = check(tmpl, spec, lam, n_init=512, max_depth=40)
+    assert (fine.status, fine.winding, fine.unstable_zeros) == (
+        coarse.status,
+        coarse.winding,
+        coarse.unstable_zeros,
+    )
 
 
 def test_nonpositive_lambda_is_invalid():

@@ -6,9 +6,10 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B; and, last, one upwind R3,-1
-extrapolation check that exhausts refinement.  It then runs the o3 R3,0 12x12
-and lw5 R5,0 8x6 sweeps.  The JSON it writes holds, per input, the status,
+R<d>,<k_d> or random ghost matrices B; and, last, the three pure-extrapolation
+checks of EXTRAPOLATION (upwind R3,-1, o3 and lw5 R2,-1), whose curves touch
+the origin at z = 1 and end marginal.  It then runs the o3 R3,0 12x12 and
+lw5 R5,0 8x6 sweeps.  The JSON it writes holds, per input, the status,
 winding, zeros, every diagnostic and the traced curve (thetas, values,
 depths), and the CSV text of each map.  A check that raises is recorded with
 status ``raised <ExceptionType>`` and the message as its error.
@@ -37,7 +38,11 @@ SEED = 0
 COUNT = 360
 N_INIT = 256
 STENCILS = {"upwind": (1, 0), "o3": (2, 1), "lw5": (3, 2)}  # name -> (r, p)
-EXTRAPOLATION = {"scheme": "upwind", "lam": 0.4, "recon": [3, -1, 0.2]}
+EXTRAPOLATION = [
+    {"scheme": "upwind", "lam": 0.4, "recon": [3, -1, 0.2]},
+    {"scheme": "o3", "lam": 0.5, "recon": [2, -1, 0.2]},
+    {"scheme": "lw5", "lam": 0.5, "recon": [2, -1, 0.2]},
+]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
     "o3 R3,0 12x12": ("o3", 3, 0, (0.05, 1.0, 12), (-0.49, 0.49, 12)),
@@ -133,7 +138,7 @@ def record_maps() -> dict[str, str]:
 
 
 def record() -> dict:
-    inputs = check_inputs(COUNT) + [EXTRAPOLATION]
+    inputs = check_inputs(COUNT) + EXTRAPOLATION
     return {
         "inputs": inputs,
         "checks": [run_check(inp) for inp in inputs],
