@@ -17,10 +17,12 @@ rows (``_char_rows``), the monic product (``_monic_product``), the column fold
 them.  The roots and their sigma(z) depend only on the scheme and z; the
 boundary enters only through the fold.  So ``_stable_sigmas`` keeps sigma(z)
 in the scheme's ``sigma_table``, and every boundary evaluated on the same
-Scheme instance (a sweep's lambda row) solves each z once.  A batch solves P_z
-once for the points the table lacks.  Points whose roots all sit clear of the
-circle take r inside roots directly; the rest pass their already-solved roots,
-one point at a time, to ``select_stable_roots``.
+Scheme instance (a sweep's lambda row) solves each z once.  The coefficients
+are real, so sigma(conj z) = conj sigma(z): a batch solves P_z once for each
+conjugate pair the table lacks, and ``kl_curve`` samples the lower half of the
+circle at exact conjugates of the upper half.  Points whose roots all sit
+clear of the circle take r inside roots directly; the rest pass their
+already-solved roots, one point at a time, to ``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -324,28 +326,40 @@ def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
 def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     """sigma(z) at each z of a 1-D array: the scheme-side half of Delta.
 
-    Points already in ``s.sigma_table`` are read from it.  The rest are solved
-    in one batch and stored: a point whose roots all sit clear of the circle
-    band, r of them inside, takes the batched split; any other point goes
-    through select_stable_roots.
+    Points already in ``s.sigma_table`` are read from it.  The coefficients
+    are real, so sigma(conj z) = conj sigma(z): every missing z below the
+    real axis is mapped to conj z, and the distinct points left are solved in
+    one batch.  A point whose roots all sit clear of the circle band, r of
+    them inside, takes the batched split; any other point goes through
+    select_stable_roots.  Each solved row is stored, and for Im z > 0 so is
+    its conjugate at conj z.
     """
     found, sig = s.sigma_table.lookup(zs)
     if np.all(found):
         return sig
-    r = s.r
-    new_zs = zs[~found]
-    roots = find_roots_many(_char_rows(s, new_zs))[0]
+    missing = zs[~found]
+    lower = missing.imag < 0
+    keys = np.where(lower, missing.conj(), missing)
+    # np.unique would import numpy.ma on its first call
+    solve_zs = np.sort(keys)
+    solve_zs = solve_zs[np.append(True, solve_zs[1:] != solve_zs[:-1])]
+    roots = find_roots_many(_char_rows(s, solve_zs))[0]
     moduli = np.abs(roots)
     inside = moduli < 1.0 - TOL_UNIT
     clear = np.abs(moduli - 1.0) > CLUSTER_TOL
-    fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == r)
+    fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == s.r)
 
-    new = np.empty((len(new_zs), r), dtype=complex)
-    new[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, r))
+    solved = np.empty((len(solve_zs), s.r), dtype=complex)
+    solved[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, s.r))
     for i in np.flatnonzero(~fast):
-        new[i] = select_stable_roots(s, complex(new_zs[i]), roots[i]).sigmas
-    s.sigma_table.add(new_zs, new)
-    sig[~found] = new
+        solved[i] = select_stable_roots(s, complex(solve_zs[i]), roots[i]).sigmas
+    upper = solve_zs.imag > 0
+    s.sigma_table.add(
+        np.concatenate([solve_zs, solve_zs[upper].conj()]),
+        np.concatenate([solved, solved[upper].conj()]),
+    )
+    rows = solved[np.searchsorted(solve_zs, keys)]
+    sig[~found] = np.where(lower[:, None], rows.conj(), rows)
     return sig
 
 
@@ -367,19 +381,24 @@ def kl_curve(
 ) -> KLCurve:
     """Sample Delta on the unit circle with adaptive bisection refinement.
 
-    Bisection of an arc stops once the winding predicate accepts the segment or
-    the arc has been halved ``max_depth`` times.  A sample within
-    ORIGIN_RESOLUTION of the origin puts 0 numerically on the curve: both its
-    segments stay flagged in every round (PROXIMITY_FLOOR is larger), so each
-    round checks for one first and raises RefinementExhausted with its theta
-    and |Delta|; verdict layers report that as marginal.
+    The n_init initial thetas are equispaced from 0; the z of each theta above
+    pi is the exact conjugate of the z of 2 pi - theta, so the two share one
+    solve of the scheme side.  Bisection of an arc stops once the winding
+    predicate accepts the segment or the arc has been halved ``max_depth``
+    times.  A sample within ORIGIN_RESOLUTION of the origin puts 0 numerically
+    on the curve: both its segments stay flagged in every round
+    (PROXIMITY_FLOOR is larger), so each round checks for one first and raises
+    RefinementExhausted with its theta and |Delta|; verdict layers report that
+    as marginal.
     """
     if n_init < MIN_INIT_SAMPLES:
         raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
     if s.r < 1:
         raise ValueError("curve requires r >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
-    values = _delta_batch(s, bc, np.exp(1j * thetas))
+    zs = np.exp(1j * thetas)
+    zs[n_init // 2 + 1 :] = zs[(n_init - 1) // 2 : 0 : -1].conj()
+    values = _delta_batch(s, bc, zs)
     depths = np.zeros(n_init, dtype=int)
 
     while True:

@@ -28,10 +28,12 @@ class SigmaTable:
 
     It holds the monic coefficients sigma(z) of the r stable roots of P_z,
     which depend only on the scheme and z, so every boundary closing the
-    scheme can share them.  Keys and rows are swapped in as one tuple, so a
-    reader never pairs the keys of one version with the rows of another; two
-    threads adding at once may drop each other's rows, which costs only a
-    second solve.
+    scheme can share them.  The determinant pipeline adds each row above the
+    real axis together with its conjugate at conj z, in one ``add``, so the
+    table holds either both of a conjugate pair or neither.  Keys and rows
+    are swapped in as one tuple, so a reader never pairs the keys of one
+    version with the rows of another; two threads adding at once may drop
+    each other's rows, which costs only a second solve.
     """
 
     def __init__(self, width: int):
@@ -61,13 +63,14 @@ class Scheme:
     """Explicit one-step interior scheme with left width r and right width p.
 
     ``coeffs[k]`` is the weight of U_{j+k} for k in [-r, p].  Construction
-    checks that they are finite and satisfy the zeroth-order consistency
-    sum(a_k) = 1.  Extreme coefficients are normally nonzero; exact zeros are
-    tolerated and the downstream pipeline handles the degeneracy.  lw5 hits
-    them at integer CFL numbers, where it is the pure shift.  o3 reaches the
-    shift only up to rounding: its a_1 is 5.55e-17 at lambda = 1 and 1.1e-16
-    at lambda = 2, not 0, and each such residue leaves a spurious
-    characteristic root near 1e16.
+    checks that they are real and finite and satisfy the zeroth-order
+    consistency sum(a_k) = 1.  Real coefficients make sigma(conj z) the
+    conjugate of sigma(z), which the determinant pipeline relies on.  Extreme
+    coefficients are normally nonzero; exact zeros are tolerated and the
+    downstream pipeline handles the degeneracy.  lw5 hits them at integer CFL
+    numbers, where it is the pure shift.  o3 reaches the shift only up to
+    rounding: its a_1 is 5.55e-17 at lambda = 1 and 1.1e-16 at lambda = 2, not
+    0, and each such residue leaves a spurious characteristic root near 1e16.
 
     ``sigma_table`` caches the scheme-side sigma(z) of the determinant
     pipeline; it takes no part in equality or the repr.
@@ -85,8 +88,11 @@ class Scheme:
         expected = set(range(-self.r, self.p + 1))
         if set(self.coeffs) != expected:
             raise ValueError(f"coefficient keys must be exactly {sorted(expected)}")
-        if not np.all(np.isfinite(list(self.coeffs.values()))):
-            raise ValueError(f"coefficients must be finite (got {self.coeffs!r})")
+        values = np.asarray(list(self.coeffs.values()))
+        if np.iscomplexobj(values) or not np.all(np.isfinite(values)):
+            raise ValueError(
+                f"coefficients must be real and finite (got {self.coeffs!r})"
+            )
         total = sum(self.coeffs.values())
         if abs(total - 1.0) > CONSISTENCY_TOL:
             raise ValueError(f"coefficients must sum to 1 (got {total!r})")

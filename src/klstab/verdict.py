@@ -11,7 +11,7 @@ numerically on the curve, which also violates the stability condition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -39,18 +39,38 @@ MAP_CELL_PX = 12
 BoundarySpec = ReconstructionSpec | np.ndarray | BoundaryCondition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityVerdict:
-    """Outcome of one check: winding index, unstable-zero count, and status."""
+    """Outcome of one check: winding index, unstable-zero count, and status.
+
+    The fields after ``lam`` say how the check got there and are None where
+    it stopped before reaching them.  Slots keep a verdict at about 190 bytes,
+    which a sweep or a long run holds by the thousand.
+    """
 
     winding: int | None
     unstable_zeros: int | None
     status: str
-    diagnostics: dict
+    lam: float
+    cauchy_max_modulus: float | None = None
+    cauchy_xi_worst: float | None = None
+    curve_samples: int | None = None
+    max_refine_depth: int | None = None
+    min_curve_distance: float | None = None
+    error: str | None = None
 
     @property
     def certified(self) -> bool:
         return self.status in (STATUS_STABLE, STATUS_UNSTABLE)
+
+    @property
+    def diagnostics(self) -> dict:
+        """``lambda``, then each diagnostic field that is set, in field order."""
+        values = {name: getattr(self, name) for name in _DIAGNOSTIC_FIELDS}
+        return {"lambda": self.lam} | {k: v for k, v in values.items() if v is not None}
+
+
+_DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(StabilityVerdict))[4:]
 
 
 @dataclass(frozen=True)
@@ -99,38 +119,38 @@ def _check(
     max_depth: int = MAX_REFINE_DEPTH,
 ) -> tuple[StabilityVerdict, KLCurve | None]:
     """The verdict of ``check`` with the curve it traced, None if it traced none."""
-    diag: dict = {"lambda": lam}
+    diag: dict = {}
     if lam <= 0:
         diag["error"] = "lambda must be positive"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
     if n_init < MIN_INIT_SAMPLES:
         diag["error"] = f"n_init must be >= {MIN_INIT_SAMPLES}"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
     try:
         scheme = s_template(lam)
     except (ValueError, OverflowError, KLStabError) as exc:
         diag["error"] = f"scheme construction failed: {exc}"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
     if scheme.r == 0:
         diag["error"] = "r = 0: no boundary modes, pipeline does not apply"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
 
     cauchy = is_cauchy_stable(scheme)
     diag["cauchy_max_modulus"] = cauchy.max_modulus
     diag["cauchy_xi_worst"] = cauchy.xi_worst
     if not cauchy.stable:
         diag["error"] = "Cauchy-stability violated"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
 
     try:
         bc = _build_boundary(bc_spec, scheme)
         curve = kl_curve(scheme, bc, n_init=n_init, max_depth=max_depth)
     except RefinementExhausted as exc:
         diag["error"] = str(exc)
-        return StabilityVerdict(None, None, STATUS_MARGINAL, diag), None
+        return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), None
     except KLStabError as exc:
         diag["error"] = f"{type(exc).__name__}: {exc}"
-        return StabilityVerdict(None, None, STATUS_INVALID, diag), None
+        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
 
     diag["curve_samples"] = len(curve)
     diag["max_refine_depth"] = int(np.max(curve.depths))
@@ -138,15 +158,15 @@ def _check(
         wres = winding_number(curve.values)
     except OriginOnCurve as exc:
         diag["error"] = str(exc)
-        return StabilityVerdict(None, None, STATUS_MARGINAL, diag), curve
+        return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), curve
     diag["min_curve_distance"] = wres.min_distance
 
     if not wres.certified:
         diag["error"] = "curve not certifiable away from the origin"
-        return StabilityVerdict(None, None, STATUS_MARGINAL, diag), curve
+        return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), curve
     zeros = scheme.r - wres.index
     status = STATUS_STABLE if zeros == 0 else STATUS_UNSTABLE
-    return StabilityVerdict(wres.index, zeros, status, diag), curve
+    return StabilityVerdict(wres.index, zeros, status, lam, **diag), curve
 
 
 def sweep(

@@ -107,7 +107,8 @@ def test_select_picks_from_the_given_roots():
 
 def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
     # o3 at lambda = 1: every sample leaves the fast path; its only one-row
-    # solve is the Rouche re-solve, one per min_modulus_on_circle call
+    # solve is the Rouche re-solve, one per min_modulus_on_circle call.  The
+    # 127 samples below the real axis are conjugates of those above: 129 solves
     counts = {"one_row_solves": 0, "rouche": 0}
     solve = klstab.kldet.find_roots_many
     rouche = klstab.kldet.min_modulus_on_circle
@@ -124,7 +125,32 @@ def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
     monkeypatch.setattr(klstab.kldet, "min_modulus_on_circle", counting_rouche)
     tmpl = template("o3")
     kl_curve(tmpl(1.0), recon_bc(tmpl, 1.0, 3, 0, -0.4))
-    assert counts == {"one_row_solves": 256, "rouche": 256}
+    assert counts == {"one_row_solves": 129, "rouche": 129}
+
+
+@pytest.mark.parametrize("n_init", [64, 255, 256])
+def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init):
+    # samples below the real axis are read as conjugates of those above:
+    # z = 1, the upper half and, for even n_init, z = -1 are solved
+    batches = []
+    solve = klstab.kldet.find_roots_many
+
+    def counting_solve(rows):
+        batches.append(len(rows))
+        return solve(rows)
+
+    monkeypatch.setattr(klstab.kldet, "find_roots_many", counting_solve)
+    tmpl = template("o3")
+    s = tmpl(0.6)
+    curve = kl_curve(s, recon_bc(tmpl, 0.6, 3, 0, -0.4), n_init=n_init)
+    assert batches[0] == n_init // 2 + 1
+    # every sample strictly above the real axis has its conjugate's row
+    upper = np.exp(1j * curve.thetas[(curve.thetas > 0) & (curve.thetas < np.pi)])
+    assert (upper.imag > 0).all()
+    found_up, rows_up = s.sigma_table.lookup(upper)
+    found_down, rows_down = s.sigma_table.lookup(upper.conj())
+    assert found_up.all() and found_down.all()
+    assert np.array_equal(rows_down, rows_up.conj())
 
 
 def test_sigma_expansion_matches_numpy():

@@ -10,7 +10,7 @@ import klstab.kldet
 from klstab.boundary import ReconstructionSpec
 from klstab.errors import EmptyGrid
 from klstab.kldet import delta
-from klstab.scheme import template
+from klstab.scheme import Scheme, SchemeTemplate, template
 from klstab.verdict import (
     STATUS_INVALID,
     STATUS_MARGINAL,
@@ -79,6 +79,72 @@ def test_unrepresentable_lambda_is_invalid_without_warning(name, lam):
         v = check(template(name), ReconstructionSpec(3, 0, -0.4), lam)
     assert v.status == STATUS_INVALID
     assert v.diagnostics["error"].startswith("scheme construction failed: ")
+
+
+def test_complex_scheme_is_invalid_precondition():
+    # sigma(conj z) = conj sigma(z) needs real coefficients; these sum to
+    # exactly 1, so only the realness check can reject them
+    def build(lam):
+        return Scheme(r=1, p=0, coeffs={-1: lam + 0.1j, 0: 1.0 - lam - 0.1j}, lam=lam)
+
+    v = check(SchemeTemplate("complex", build), ReconstructionSpec(3, 0, -0.4), 0.5)
+    assert v.status == STATUS_INVALID
+    assert v.diagnostics["error"].startswith(
+        "scheme construction failed: coefficients must be real"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,spec,lam,status,diagnostics",
+    [
+        (
+            "o3",
+            (3, 0, -0.4),
+            1.5,
+            STATUS_INVALID,
+            {
+                "lambda": 1.5,
+                "cauchy_max_modulus": pytest.approx(1.088662044160293, rel=1e-12),
+                "cauchy_xi_worst": pytest.approx(1.911340061705509, rel=1e-12),
+                "error": "Cauchy-stability violated",
+            },
+        ),
+        (
+            "upwind",
+            (3, -1, 0.2),
+            0.4,
+            STATUS_MARGINAL,
+            {
+                "lambda": 0.4,
+                "cauchy_max_modulus": 1.0,
+                "cauchy_xi_worst": 0.0,
+                "error": "|D| = 0 below 1e-13 at theta = 0",
+            },
+        ),
+        (
+            "o3",
+            (3, 0, -0.4),
+            0.4,
+            STATUS_STABLE,
+            {
+                "lambda": 0.4,
+                "cauchy_max_modulus": 1.0,
+                "cauchy_xi_worst": 0.0,
+                "curve_samples": 256,
+                "max_refine_depth": 0,
+                "min_curve_distance": pytest.approx(0.49922905296240744, rel=1e-9),
+            },
+        ),
+    ],
+)
+def test_verdict_is_slotted_and_diagnostics_keep_their_keys(
+    name, spec, lam, status, diagnostics
+):
+    v = check(template(name), ReconstructionSpec(*spec), lam)
+    assert not hasattr(v, "__dict__")
+    assert v.status == status
+    assert v.diagnostics == diagnostics
+    assert list(v.diagnostics) == list(diagnostics)
 
 
 @st.composite
@@ -196,8 +262,9 @@ def test_sweep_matches_individual_checks(rng):
 
 
 def test_sweep_row_solves_the_scheme_side_once(monkeypatch):
-    # o3 at lambda = 1: all 256 samples take the Rouche fallback; the row's
-    # three cells share them instead of solving 768
+    # o3 at lambda = 1: all 256 samples take the Rouche fallback; the 129 of
+    # them on or above the real axis are solved, and the row's three cells
+    # share them instead of solving 768
     calls = []
     rouche = klstab.kldet.min_modulus_on_circle
 
@@ -210,7 +277,7 @@ def test_sweep_row_solves_the_scheme_side_once(monkeypatch):
         template("o3"), lambda s: ReconstructionSpec(3, 0, s), [1.0], [-0.4, 0.0, 0.3]
     )
     assert all(v.certified for v in grid.results[0])
-    assert len(calls) == 256
+    assert len(calls) == 129
 
 
 def test_sweep_zeros_bounded_by_r():

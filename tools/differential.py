@@ -6,13 +6,16 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B; and, last, the three pure-extrapolation
+R<d>,<k_d> or random ghost matrices B; then the three pure-extrapolation
 checks of EXTRAPOLATION (upwind R3,-1, o3 and lw5 R2,-1), whose curves touch
-the origin at z = 1 and end marginal.  It then runs the o3 R3,0 12x12 and
-lw5 R5,0 8x6 sweeps.  The JSON it writes holds, per input, the status,
-winding, zeros, every diagnostic and the traced curve (thetas, values,
-depths), and the CSV text of each map.  A check that raises is recorded with
-status ``raised <ExceptionType>`` and the message as its error.
+the origin at z = 1 and end marginal; and, last, the two checks of
+ODD_SAMPLES, o3 at lambda = 1 and lw5, traced from 255 initial samples, so
+that no sample sits at z = -1.  An input traces N_INIT initial samples
+unless it names its own ``n_init``.  It then runs the o3 R3,0 12x12 and lw5
+R5,0 8x6 sweeps.  The JSON it writes holds, per input, the status, winding,
+zeros, every diagnostic and the traced curve (thetas, values, depths), and
+the CSV text of each map.  A check that raises is recorded with status
+``raised <ExceptionType>`` and the message as its error.
 
 ``compare`` prints how many values differ in each field, the largest relative
 difference of the curve values and of each numeric diagnostic, and whether
@@ -42,6 +45,10 @@ EXTRAPOLATION = [
     {"scheme": "upwind", "lam": 0.4, "recon": [3, -1, 0.2]},
     {"scheme": "o3", "lam": 0.5, "recon": [2, -1, 0.2]},
     {"scheme": "lw5", "lam": 0.5, "recon": [2, -1, 0.2]},
+]
+ODD_SAMPLES = [
+    {"scheme": "o3", "lam": 1.0, "recon": [3, 0, -0.3], "n_init": 255},
+    {"scheme": "lw5", "lam": 0.6, "recon": [5, 0, 0.2], "n_init": 255},
 ]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
@@ -89,7 +96,8 @@ def run_check(inp: dict) -> dict:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdict, curve = _check(template(inp["scheme"]), spec, inp["lam"], N_INIT)
+            n_init = inp.get("n_init", N_INIT)
+            verdict, curve = _check(template(inp["scheme"]), spec, inp["lam"], n_init)
     except Exception as exc:  # a raise or a warning is an output to compare
         return {
             "status": f"raised {type(exc).__name__}",
@@ -138,7 +146,7 @@ def record_maps() -> dict[str, str]:
 
 
 def record() -> dict:
-    inputs = check_inputs(COUNT) + EXTRAPOLATION
+    inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES
     return {
         "inputs": inputs,
         "checks": [run_check(inp) for inp in inputs],
