@@ -15,12 +15,12 @@ rows (``_char_rows``), the monic product (``_monic_product``), the column fold
 (``_fold_columns``) and the determinant (``_delta_batch``).  The scalar names
 ``sigmas_from_roots``, ``reduce_Btilde`` and ``delta`` are one-row calls of
 them.  The roots and their sigma(z) depend only on the scheme and z; the
-boundary enters only through the fold.  So ``_stable_sigmas`` keeps sigma(z)
-in the scheme's ``sigma_table``, and every boundary evaluated on the same
-Scheme instance (a sweep's lambda row) solves each z once.  The coefficients
-are real, so sigma(conj z) = conj sigma(z): a batch solves P_z once for each
-conjugate pair the table lacks, and ``kl_curve`` samples the lower half of the
-circle at exact conjugates of the upper half.  Points whose roots all sit
+boundary enters only through the fold.  So ``kl_curve`` keeps the sigma(z)
+rows of its initial grid in the scheme's ``grid_sigmas``, which every boundary
+traced on that Scheme instance (a sweep's lambda row) reads.  The coefficients
+are real, so sigma(conj z) = conj sigma(z): ``_stable_sigmas`` solves P_z once
+per conjugate pair, and ``kl_curve`` samples the lower half of the circle at
+exact conjugates of the upper half.  Points whose roots all sit
 clear of the circle take r inside roots directly; the rest pass their
 already-solved roots, one point at a time, to ``select_stable_roots``.
 
@@ -263,7 +263,8 @@ def delta(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     z = complex(z)
     if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
-    return complex(_delta_batch(s, bc, np.array([z]))[0])
+    zs = np.array([z])
+    return complex(_delta_batch(bc, zs, _stable_sigmas(s, zs))[0])
 
 
 def basis_matrices(
@@ -326,20 +327,14 @@ def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
 def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     """sigma(z) at each z of a 1-D array: the scheme-side half of Delta.
 
-    Points already in ``s.sigma_table`` are read from it.  The coefficients
-    are real, so sigma(conj z) = conj sigma(z): every missing z below the
-    real axis is mapped to conj z, and the distinct points left are solved in
-    one batch.  A point whose roots all sit clear of the circle band, r of
-    them inside, takes the batched split; any other point goes through
-    select_stable_roots.  Each solved row is stored, and for Im z > 0 so is
-    its conjugate at conj z.
+    The coefficients are real, so sigma(conj z) = conj sigma(z): every z
+    below the real axis is mapped to conj z, and the distinct points left are
+    solved in one batch.  A point whose roots all sit clear of the circle
+    band, r of them inside, takes the batched split; any other point goes
+    through select_stable_roots.
     """
-    found, sig = s.sigma_table.lookup(zs)
-    if np.all(found):
-        return sig
-    missing = zs[~found]
-    lower = missing.imag < 0
-    keys = np.where(lower, missing.conj(), missing)
+    lower = zs.imag < 0
+    keys = np.where(lower, zs.conj(), zs)
     # np.unique would import numpy.ma on its first call
     solve_zs = np.sort(keys)
     solve_zs = solve_zs[np.append(True, solve_zs[1:] != solve_zs[:-1])]
@@ -353,24 +348,16 @@ def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     solved[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, s.r))
     for i in np.flatnonzero(~fast):
         solved[i] = select_stable_roots(s, complex(solve_zs[i]), roots[i]).sigmas
-    upper = solve_zs.imag > 0
-    s.sigma_table.add(
-        np.concatenate([solve_zs, solve_zs[upper].conj()]),
-        np.concatenate([solved, solved[upper].conj()]),
-    )
     rows = solved[np.searchsorted(solve_zs, keys)]
-    sig[~found] = np.where(lower[:, None], rows.conj(), rows)
-    return sig
+    return np.where(lower[:, None], rows.conj(), rows)
 
 
-def _delta_batch(s: Scheme, bc: BoundaryCondition, zs: np.ndarray) -> np.ndarray:
-    """Delta at each z of a 1-D array on or outside the circle.
-
-    The boundary-side half: fold calB with the scheme's sigma(z), then take
-    det(z I - Bt).
-    """
-    bt = _fold_columns(bc.calB, _stable_sigmas(s, zs))
-    return np.linalg.det(zs[:, None, None] * np.eye(s.r) - bt)
+def _delta_batch(
+    bc: BoundaryCondition, zs: np.ndarray, sig: np.ndarray
+) -> np.ndarray:
+    """Delta at each z of ``zs``: fold calB with its sigma(z) row, det(z I - Bt)."""
+    bt = _fold_columns(bc.calB, sig)
+    return np.linalg.det(zs[:, None, None] * np.eye(sig.shape[1]) - bt)
 
 
 def kl_curve(
@@ -383,9 +370,10 @@ def kl_curve(
 
     The n_init initial thetas are equispaced from 0; the z of each theta above
     pi is the exact conjugate of the z of 2 pi - theta, so the two share one
-    solve of the scheme side.  Bisection of an arc stops once the winding
-    predicate accepts the segment or the arc has been halved ``max_depth``
-    times.  A sample within ORIGIN_RESOLUTION of the origin puts 0 numerically
+    solve of the scheme side; the grid's sigma(z) rows are solved once per
+    Scheme instance and kept in ``s.grid_sigmas[n_init]``.  Bisection of an
+    arc stops once the winding predicate accepts the segment or the arc has
+    been halved ``max_depth`` times.  A sample within ORIGIN_RESOLUTION of the origin puts 0 numerically
     on the curve: both its segments stay flagged in every round
     (PROXIMITY_FLOOR is larger), so each round checks for one first and raises
     RefinementExhausted with its theta and |Delta|; verdict layers report that
@@ -398,7 +386,9 @@ def kl_curve(
     thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
     zs = np.exp(1j * thetas)
     zs[n_init // 2 + 1 :] = zs[(n_init - 1) // 2 : 0 : -1].conj()
-    values = _delta_batch(s, bc, zs)
+    if n_init not in s.grid_sigmas:
+        s.grid_sigmas[n_init] = _stable_sigmas(s, zs)
+    values = _delta_batch(bc, zs, s.grid_sigmas[n_init])
     depths = np.zeros(n_init, dtype=int)
 
     while True:
@@ -416,7 +406,8 @@ def kl_curve(
             return KLCurve(thetas=thetas, values=values, depths=depths)
         right = np.append(thetas[1:], 2.0 * np.pi)
         mids = 0.5 * (thetas[split] + right[split])
-        new_values = _delta_batch(s, bc, np.exp(1j * mids))
+        mid_zs = np.exp(1j * mids)
+        new_values = _delta_batch(bc, mid_zs, _stable_sigmas(s, mid_zs))
         thetas = np.insert(thetas, split + 1, mids)
         values = np.insert(values, split + 1, new_values)
         depths = np.insert(depths, split + 1, child[split])

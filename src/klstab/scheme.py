@@ -23,41 +23,6 @@ CAUCHY_SAMPLES = 4096
 CAUCHY_TOL = 1e-10
 
 
-class SigmaTable:
-    """Rows of values keyed by complex z, in contiguous arrays sorted by z.
-
-    It holds the monic coefficients sigma(z) of the r stable roots of P_z,
-    which depend only on the scheme and z, so every boundary closing the
-    scheme can share them.  The determinant pipeline adds each row above the
-    real axis together with its conjugate at conj z, in one ``add``, so the
-    table holds either both of a conjugate pair or neither.  Keys and rows
-    are swapped in as one tuple, so a reader never pairs the keys of one
-    version with the rows of another; two threads adding at once may drop
-    each other's rows, which costs only a second solve.
-    """
-
-    def __init__(self, width: int):
-        self._data = (np.empty(0, dtype=complex), np.empty((0, width), dtype=complex))
-
-    def lookup(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(found, rows): which zs are stored, and their rows (zero where not)."""
-        keys, rows = self._data
-        out = np.zeros((len(zs), rows.shape[1]), dtype=complex)
-        if not len(keys):
-            return np.zeros(len(zs), dtype=bool), out
-        pos = np.minimum(np.searchsorted(keys, zs), len(keys) - 1)
-        found = keys[pos] == zs
-        out[found] = rows[pos[found]]
-        return found, out
-
-    def add(self, zs: np.ndarray, new_rows: np.ndarray) -> None:
-        keys, rows = self._data
-        order = np.argsort(zs, kind="stable")
-        zs, new_rows = zs[order], new_rows[order]
-        pos = np.searchsorted(keys, zs)
-        self._data = (np.insert(keys, pos, zs), np.insert(rows, pos, new_rows, axis=0))
-
-
 @dataclass(frozen=True)
 class Scheme:
     """Explicit one-step interior scheme with left width r and right width p.
@@ -72,15 +37,18 @@ class Scheme:
     rounding: its a_1 is 5.55e-17 at lambda = 1 and 1.1e-16 at lambda = 2, not
     0, and each such residue leaves a spurious characteristic root near 1e16.
 
-    ``sigma_table`` caches the scheme-side sigma(z) of the determinant
-    pipeline; it takes no part in equality or the repr.
+    ``grid_sigmas`` maps n_init to the sigma(z) rows of ``kl_curve``'s initial
+    grid, which every boundary traced on this instance reads; it takes no part
+    in equality or the repr.
     """
 
     r: int
     p: int
     coeffs: dict[int, float]
     lam: float = 1.0
-    sigma_table: SigmaTable = field(init=False, repr=False, compare=False)
+    grid_sigmas: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.r < 0 or self.p < 0:
@@ -96,7 +64,6 @@ class Scheme:
         total = sum(self.coeffs.values())
         if abs(total - 1.0) > CONSISTENCY_TOL:
             raise ValueError(f"coefficients must sum to 1 (got {total!r})")
-        object.__setattr__(self, "sigma_table", SigmaTable(self.r))
 
     def coeff_array(self) -> np.ndarray:
         """Coefficients as a dense array indexed 0..r+p for k = -r..p."""
@@ -178,7 +145,10 @@ class SchemeTemplate:
     builder: Callable[[float], Scheme]
 
     def __call__(self, lam: float) -> Scheme:
-        return self.builder(lam)
+        try:
+            return self.builder(lam)
+        except OverflowError as exc:
+            raise ValueError(f"coefficients overflow at lambda = {lam!r}") from exc
 
 
 def _upwind(lam: float) -> Scheme:

@@ -128,7 +128,7 @@ def _check(
         return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
     try:
         scheme = s_template(lam)
-    except (ValueError, OverflowError, KLStabError) as exc:
+    except (ValueError, KLStabError) as exc:
         diag["error"] = f"scheme construction failed: {exc}"
         return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
     if scheme.r == 0:
@@ -179,7 +179,9 @@ def sweep(
     """One check per cell; cells never abort the sweep.
 
     Each lambda row builds its scheme once, so the row's cells share the
-    scheme's sigma table.  A cell's verdict equals that of a standalone check.
+    sigma(z) rows of its initial curve grid.  A cell's verdict equals that of
+    a standalone check.  ``r`` comes from the last row whose scheme builds,
+    and is 0 if none does.
     """
     lams = tuple(float(x) for x in lambda_values)
     sigs = tuple(float(x) for x in sigma_values)
@@ -193,7 +195,13 @@ def sweep(
         [check(row_scheme, bc_family(sig), lam, n_init=n_init) for sig in sigs]
         for lam in lams
     ]
-    r = row_scheme(lams[-1]).r
+    r = 0
+    for lam in reversed(lams):
+        try:
+            r = row_scheme(lam).r
+            break
+        except (ValueError, KLStabError):
+            pass
     return SweepGrid(lambda_values=lams, sigma_values=sigs, results=results, r=r)
 
 

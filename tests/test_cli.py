@@ -56,6 +56,33 @@ def test_check_infinite_lambda_is_invalid_line(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("scheme", ["o3", "lw5"])
+@pytest.mark.parametrize("command", ["curve", "simulate"])
+def test_overflowing_lambda_is_an_error_line(command, scheme, tmp_path, capsys):
+    code, out, err = run_cli(
+        [command, "--scheme", scheme, "--boundary", "R3,0", "--lambda", "1e200",
+         "--out", str(tmp_path / "out.csv")],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflow" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_with_unbuildable_last_lambda(tmp_path, capsys):
+    out_path = tmp_path / "map.csv"
+    code, _, err = run_cli(
+        ["sweep", "--scheme", "o3", "--boundary", "R3,0", "--lambda=0.5:1e200:2",
+         "--samples", "64", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    lines = out_path.read_text().strip().splitlines()
+    assert len(lines) == 3
+    assert lines[2].endswith(",,,invalid_precondition")
+
+
 def test_check_marginal_exit_zero(tmp_path, capsys):
     bpath = tmp_path / "naive.bnd"
     bpath.write_text("matrix 1 2\n0.5 0.5\n")

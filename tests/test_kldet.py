@@ -144,13 +144,26 @@ def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init):
     s = tmpl(0.6)
     curve = kl_curve(s, recon_bc(tmpl, 0.6, 3, 0, -0.4), n_init=n_init)
     assert batches[0] == n_init // 2 + 1
-    # every sample strictly above the real axis has its conjugate's row
-    upper = np.exp(1j * curve.thetas[(curve.thetas > 0) & (curve.thetas < np.pi)])
-    assert (upper.imag > 0).all()
-    found_up, rows_up = s.sigma_table.lookup(upper)
-    found_down, rows_down = s.sigma_table.lookup(upper.conj())
-    assert found_up.all() and found_down.all()
-    assert np.array_equal(rows_down, rows_up.conj())
+    # the kept row of theta > pi is the conjugate of the row of 2 pi - theta
+    rows = s.grid_sigmas[n_init]
+    assert rows.shape == (n_init, s.r) and len(curve) >= n_init
+    mirrored = rows[(n_init - 1) // 2 : 0 : -1]
+    assert np.array_equal(rows[n_init // 2 + 1 :], mirrored.conj())
+
+
+def test_grid_sigmas_are_kept_per_n_init():
+    # one scheme traced at two initial resolutions must give the curves of
+    # fresh schemes at each; a memo not keyed by n_init would mix the grids
+    tmpl = template("o3")
+    bc = recon_bc(tmpl, 0.6, 3, 0, -0.4)
+    shared = tmpl(0.6)
+    for n_init in (64, 256):
+        got = kl_curve(shared, bc, n_init=n_init)
+        want = kl_curve(tmpl(0.6), bc, n_init=n_init)
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.depths, want.depths)
+    assert sorted(shared.grid_sigmas) == [64, 256]
 
 
 def test_sigma_expansion_matches_numpy():
@@ -416,8 +429,8 @@ def test_delta_conjugate_symmetry_real_B(name, d, lam, rng):
 
 
 def test_threads_sharing_a_scheme_trace_the_same_curves():
-    # threads that trace curves on one Scheme share its sigma table; a torn
-    # update would hand a curve the wrong sigma(z), a lost one only re-solves
+    # threads that trace curves on one Scheme share its grid_sigmas; each
+    # stores a whole array, so a race can only solve the grid twice
     tmpl = template("o3")
     sigmas = np.linspace(-0.45, 0.45, 8)
     bcs = [recon_bc(tmpl, 0.6, 3, 0, sig) for sig in sigmas]

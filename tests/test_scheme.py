@@ -8,7 +8,6 @@ from klstab.scheme import (
     CAUCHY_SAMPLES,
     CAUCHY_TOL,
     Scheme,
-    SigmaTable,
     characteristic_polynomial,
     hersh_split,
     is_cauchy_stable,
@@ -194,6 +193,12 @@ def test_parse_scheme_line():
             parse_scheme_line(line)
 
 
+@pytest.mark.parametrize("name", ["o3", "lw5"])
+def test_template_overflow_is_a_value_error(name):
+    with pytest.raises(ValueError, match="coefficients overflow at lambda = 1e"):
+        template(name)(1e200)
+
+
 def test_template_lookup_case_insensitive():
     assert template("O3").name == "o3"
     assert template("LW5").name == "lw5"
@@ -201,21 +206,8 @@ def test_template_lookup_case_insensitive():
         template("nope")
 
 
-def test_sigma_table_lookup_and_add():
-    table = SigmaTable(2)
-    found, rows = table.lookup(np.array([1.0 + 0j]))
-    assert not found.any() and rows.shape == (1, 2)
-    zs = np.array([1j, -1.0, 1.0, 0.5 - 2j])
-    table.add(zs, np.column_stack([zs, 2 * zs]))
-    table.add(np.array([2.0 + 0j]), np.array([[3.0, 4.0]]))
-    found, rows = table.lookup(np.array([2.0, 1j, 3.0, -1.0, np.nextafter(1.0, 2.0)]))
-    assert found.tolist() == [True, True, False, True, False]
-    assert np.array_equal(rows, [[3, 4], [1j, 2j], [0, 0], [-1, -2], [0, 0]])
-
-
-def test_sigma_table_is_not_part_of_scheme_identity():
+def test_grid_sigmas_are_not_part_of_scheme_identity():
     a, b = template("o3")(0.5), template("o3")(0.5)
-    a.sigma_table.add(np.array([1.0 + 0j]), np.zeros((1, 2)))
-    assert a == b and "sigma_table" not in repr(a)
-    assert a.sigma_table.lookup(np.array([1.0 + 0j]))[0].tolist() == [True]
-    assert b.sigma_table.lookup(np.array([1.0 + 0j]))[0].tolist() == [False]
+    a.grid_sigmas[64] = np.zeros((64, 2), dtype=complex)
+    assert a == b and "grid_sigmas" not in repr(a)
+    assert list(a.grid_sigmas) == [64] and b.grid_sigmas == {}

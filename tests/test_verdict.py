@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import klstab.kldet
 from klstab.boundary import ReconstructionSpec
 from klstab.errors import EmptyGrid
-from klstab.kldet import delta
+from klstab.kldet import delta, kl_curve
 from klstab.scheme import Scheme, SchemeTemplate, template
 from klstab.verdict import (
     STATUS_INVALID,
@@ -249,7 +249,7 @@ def test_sweep_empty_grid_rejected():
 
 
 def test_sweep_matches_individual_checks(rng):
-    # a row's cells share its scheme's sigma table; every verdict, diagnostics
+    # a row's cells share its scheme's grid_sigmas; every verdict, diagnostics
     # included, must still equal the standalone check's bit for bit
     for name, d in (("o3", 3), ("lw5", 5)):
         lams = sorted(rng.uniform(0.1, 1.0, size=3)) + [1.0]
@@ -278,6 +278,34 @@ def test_sweep_row_solves_the_scheme_side_once(monkeypatch):
     )
     assert all(v.certified for v in grid.results[0])
     assert len(calls) == 129
+
+
+def test_refining_sweep_row_matches_standalone_checks():
+    # lw5 at lambda = 0.02: several cells of the row refine, so their
+    # midpoints are solved on the row's shared scheme
+    sigs = np.linspace(-0.49, 0.49, 8)
+    tmpl = template("lw5")
+    grid = sweep(tmpl, lambda s: ReconstructionSpec(5, 0, s), [0.02], sigs)
+    row = grid.results[0]
+    assert sum(v.max_refine_depth > 0 for v in row) >= 2
+    assert row == [check(tmpl, ReconstructionSpec(5, 0, s), 0.02) for s in sigs]
+    shared = tmpl(0.02)
+    for sig in sigs:
+        got = kl_curve(shared, recon_bc(tmpl, 0.02, 5, 0, sig))
+        want = kl_curve(tmpl(0.02), recon_bc(tmpl, 0.02, 5, 0, sig))
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize(
+    "lams, r", [([0.5, float("inf")], 2), ([0.5, 1e200], 2), ([float("inf")], 0)]
+)
+def test_sweep_survives_an_unbuildable_last_lambda(lams, r):
+    # the cells of a lambda whose scheme cannot be built are invalid, and r
+    # comes from a row that did build (0 when none did)
+    grid = sweep(template("o3"), lambda s: ReconstructionSpec(3, 0, s), lams, [0.0])
+    assert grid.results[-1][0].status == STATUS_INVALID
+    assert grid.r == r
 
 
 def test_sweep_zeros_bounded_by_r():

@@ -11,10 +11,11 @@ checks of EXTRAPOLATION (upwind R3,-1, o3 and lw5 R2,-1), whose curves touch
 the origin at z = 1 and end marginal; and, last, the two checks of
 ODD_SAMPLES, o3 at lambda = 1 and lw5, traced from 255 initial samples, so
 that no sample sits at z = -1.  An input traces N_INIT initial samples
-unless it names its own ``n_init``.  It then runs the o3 R3,0 12x12 and lw5
-R5,0 8x6 sweeps.  The JSON it writes holds, per input, the status, winding,
-zeros, every diagnostic and the traced curve (thetas, values, depths), and
-the CSV text of each map.  A check that raises is recorded with status
+unless it names its own ``n_init``.  It then runs the sweeps of MAPS: o3
+R3,0 12x12, lw5 R5,0 8x6, and an lw5 R5,0 8x8 from lambda 0.02, whose first
+row refines several cells on one shared scheme.  The JSON it writes holds,
+per input, the status, winding, zeros, every diagnostic and the traced curve
+(thetas, values, depths), and the CSV text of each map.  A check that raises is recorded with status
 ``raised <ExceptionType>`` and the message as its error.
 
 ``compare`` prints how many values differ in each field, the largest relative
@@ -54,6 +55,7 @@ ODD_SAMPLES = [
 MAPS = {
     "o3 R3,0 12x12": ("o3", 3, 0, (0.05, 1.0, 12), (-0.49, 0.49, 12)),
     "lw5 R5,0 8x6": ("lw5", 5, 0, (0.05, 1.0, 8), (-0.49, 0.49, 6)),
+    "lw5 R5,0 8x8 from 0.02": ("lw5", 5, 0, (0.02, 1.0, 8), (-0.49, 0.49, 8)),
 }
 # Fields whose difference, like any map's, makes ``compare`` fail.
 FATAL = ("status", "winding", "zeros", "curve presence", "curve thetas", "curve depths")
