@@ -119,7 +119,9 @@ def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
     A = np.zeros((r, r + m))
     for i in range(r):
         A[i, i : i + r + p + 1] = coeffs
-    return A[:, :r] @ B + A[:, r:]
+    # BoundaryCondition rejects a calB that overflows or is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A[:, :r] @ B + A[:, r:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +129,7 @@ class BoundaryCondition:
     """Ghost matrix B (r x m) together with its eliminated form calB.
 
     calB is stored redundantly; ``validate`` recomputes it from (B, scheme).
+    Both must be finite.
     """
 
     m: int
@@ -138,6 +141,8 @@ class BoundaryCondition:
             raise ShapeMismatch(
                 f"B {self.B.shape} and calB {self.calB.shape} must be r x {self.m}"
             )
+        if not (np.all(np.isfinite(self.B)) and np.all(np.isfinite(self.calB))):
+            raise ValueError("ghost matrix B and its calB must be finite")
 
     @property
     def r(self) -> int:
@@ -167,7 +172,8 @@ def parse_boundary_text(text: str) -> "ReconstructionSpec | np.ndarray":
     """Parse the boundary text format.
 
     Either ``reconstruction d k_d sigma`` (one line) or ``matrix r m`` followed
-    by r rows of m decimals; returns a ReconstructionSpec or a raw B matrix.
+    by r rows of m finite decimals; returns a ReconstructionSpec or a raw B
+    matrix.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -186,5 +192,7 @@ def parse_boundary_text(text: str) -> "ReconstructionSpec | np.ndarray":
         rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
         if any(len(row) != m for row in rows):
             raise ValueError(f"every matrix row must have {m} entries")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("matrix entries must be finite")
         return np.array(rows)
     raise ValueError(f"unknown boundary keyword {head[0]!r}")

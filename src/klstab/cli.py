@@ -21,7 +21,7 @@ import numpy as np
 from .boundary import ReconstructionSpec, parse_boundary_text
 from .crosscheck import simulate
 from .errors import KLStabError
-from .kldet import kl_curve, write_curve_csv
+from .kldet import write_curve_csv
 from .scheme import SchemeTemplate, TEMPLATES, custom_template, template
 from .verdict import (
     DEFAULT_LAMBDA_MIN,
@@ -103,10 +103,9 @@ def run(args: argparse.Namespace) -> int:
         sigma = _single(sigmas, "sigma")
         if not args.out:
             raise ValueError("curve requires --out")
-        scheme = tmpl(lam)
-        curve = kl_curve(
-            scheme, _build_boundary(family(sigma), scheme), n_init=args.samples
-        )
+        verdict, curve = _check(tmpl, family(sigma), lam, args.samples)
+        if curve is None:
+            raise ValueError(verdict.error)
         write_curve_csv(curve, args.out)
         print(f"wrote {args.out} samples={len(curve)}")
         return 0

@@ -42,7 +42,7 @@ class OriginOnCurve(KLStabError):
 
 
 class RefinementExhausted(KLStabError):
-    """A curve sample within ORIGIN_RESOLUTION of 0: no refinement can certify it."""
+    """A curve sample near 0, too large or not finite: no refinement can certify it."""
 
 
 class EmptyGrid(KLStabError):

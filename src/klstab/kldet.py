@@ -26,7 +26,8 @@ already-solved roots, one point at a time, to ``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
-around the origin decides stability.
+around the origin decides stability; the predicate pass of the last round
+certifies the curve.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .poly import ComplexPolynomial, find_roots_many, min_modulus_on_circle
 from .scheme import TOL_UNIT, Scheme, characteristic_coefficients
-from .winding import needs_refinement
+from .winding import MAX_MODULUS, needs_refinement
 
 CLUSTER_TOL = 1e-7
 EPSILON_CAP = 0.1
@@ -92,6 +93,7 @@ class KLCurve:
     thetas: np.ndarray
     values: np.ndarray
     depths: np.ndarray
+    certified: bool  # the refinement predicate accepts every segment
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -356,8 +358,10 @@ def _delta_batch(
     bc: BoundaryCondition, zs: np.ndarray, sig: np.ndarray
 ) -> np.ndarray:
     """Delta at each z of ``zs``: fold calB with its sigma(z) row, det(z I - Bt)."""
-    bt = _fold_columns(bc.calB, sig)
-    return np.linalg.det(zs[:, None, None] * np.eye(sig.shape[1]) - bt)
+    # a huge calB overflows here; kl_curve reports the sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        bt = _fold_columns(bc.calB, sig)
+        return np.linalg.det(zs[:, None, None] * np.eye(sig.shape[1]) - bt)
 
 
 def kl_curve(
@@ -373,9 +377,12 @@ def kl_curve(
     solve of the scheme side; the grid's sigma(z) rows are solved once per
     Scheme instance and kept in ``s.grid_sigmas[n_init]``.  Bisection of an
     arc stops once the winding predicate accepts the segment or the arc has
-    been halved ``max_depth`` times.  A sample within ORIGIN_RESOLUTION of the origin puts 0 numerically
-    on the curve: both its segments stay flagged in every round
-    (PROXIMITY_FLOOR is larger), so each round checks for one first and raises
+    been halved ``max_depth`` times; the curve is ``certified`` when that
+    last predicate pass flagged no segment.  A sample within
+    ORIGIN_RESOLUTION of the origin puts 0 numerically on the curve: both its
+    segments stay flagged in every round (PROXIMITY_FLOOR is larger).  A
+    sample above MAX_MODULUS, or not finite, is beyond what the predicate can
+    judge.  So each round checks for either first and raises
     RefinementExhausted with its theta and |Delta|; verdict layers report that
     as marginal.
     """
@@ -392,18 +399,25 @@ def kl_curve(
     depths = np.zeros(n_init, dtype=int)
 
     while True:
-        near = int(np.argmin(np.abs(values)))
-        if abs(values[near]) < ORIGIN_RESOLUTION:
+        mods = np.abs(values)
+        near = int(np.argmin(mods))
+        if mods[near] < ORIGIN_RESOLUTION:
             raise RefinementExhausted(
-                f"|D| = {abs(values[near]):.3g} below {ORIGIN_RESOLUTION} "
+                f"|D| = {mods[near]:.3g} below {ORIGIN_RESOLUTION} "
                 f"at theta = {thetas[near]:.17g}"
+            )
+        far = np.flatnonzero(~(mods <= MAX_MODULUS))
+        if len(far):
+            raise RefinementExhausted(
+                f"|D| = {mods[far[0]]:.3g} not below {MAX_MODULUS:.3g} "
+                f"at theta = {thetas[far[0]]:.17g}"
             )
         # segment i runs from sample i to sample i + 1, the last one back to 0
         flags = needs_refinement(values, np.roll(values, -1))
         child = np.maximum(depths, np.roll(depths, -1)) + 1
         split = np.flatnonzero(flags & (child <= max_depth))
         if not len(split):
-            return KLCurve(thetas=thetas, values=values, depths=depths)
+            return KLCurve(thetas, values, depths, certified=not flags.any())
         right = np.append(thetas[1:], 2.0 * np.pi)
         mids = 0.5 * (thetas[split] + right[split])
         mid_zs = np.exp(1j * mids)
@@ -432,6 +446,6 @@ def read_curve_csv(path: str) -> KLCurve:
             thetas.append(float(t))
             values.append(complex(float(re), float(im)))
             depths.append(int(d))
-    return KLCurve(
-        thetas=np.array(thetas), values=np.array(values), depths=np.array(depths)
-    )
+    values = np.array(values)
+    flags = needs_refinement(values, np.roll(values, -1))
+    return KLCurve(np.array(thetas), values, np.array(depths), not np.any(flags))

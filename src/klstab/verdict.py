@@ -3,10 +3,12 @@
 A check builds the scheme at the requested CFL number, verifies whole-line
 (Cauchy) stability of the symbol, constructs the boundary matrices, traces the
 determinant curve on the unit circle, and turns its winding number into the
-number of unstable modes r - Ind.  Errors never escape: Cauchy failures and
-irrecoverable root-selection breakdowns yield invalid_precondition, and a curve
-that cannot be certified away from the origin yields marginal (the origin is
-numerically on the curve, which also violates the stability condition).
+number of unstable modes r - Ind.  The curve comes certified from its last
+refinement round; the winding count only counts.  Errors never escape: Cauchy
+failures, unbuildable boundaries and irrecoverable root-selection breakdowns
+yield invalid_precondition, and a curve that cannot be certified away from the
+origin yields marginal (the origin is numerically on the curve, which also
+violates the stability condition).
 """
 
 from __future__ import annotations
@@ -102,11 +104,13 @@ def check(
 
     status stable/unstable carries a certified winding; marginal means the
     curve approached the origin below resolution: either a sample lies within
-    ORIGIN_RESOLUTION of 0, which ends refinement at once and whose theta and
-    |D| the ``error`` diagnostic names, or refinement ended with the curve
-    still uncertified.  invalid_precondition covers bad lambda (non-positive,
-    or one whose coefficients overflow or are not finite) or n_init, Cauchy
-    failures, r = 0, and selection breakdowns (diagnostics say which).
+    ORIGIN_RESOLUTION of 0, or one too large for the refinement predicate,
+    which ends refinement at once and whose theta and |D| the ``error``
+    diagnostic names, or refinement ended with the curve still uncertified.
+    invalid_precondition covers bad lambda (non-positive, or one whose
+    coefficients overflow or are not finite) or n_init, Cauchy failures,
+    r = 0, a ghost matrix that is not finite, and selection breakdowns
+    (diagnostics say which).
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 
@@ -148,7 +152,7 @@ def _check(
     except RefinementExhausted as exc:
         diag["error"] = str(exc)
         return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), None
-    except KLStabError as exc:
+    except (KLStabError, ValueError) as exc:
         diag["error"] = f"{type(exc).__name__}: {exc}"
         return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
 
@@ -161,7 +165,7 @@ def _check(
         return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), curve
     diag["min_curve_distance"] = wres.min_distance
 
-    if not wres.certified:
+    if not curve.certified:
         diag["error"] = "curve not certifiable away from the origin"
         return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), curve
     zeros = scheme.r - wres.index

@@ -5,7 +5,8 @@ contributes its signed quadrant-boundary crossing count (0, +-1, or +-2 with
 the half-plane cross-product sign test deciding the ambiguous opposite-quadrant
 case).  The total is 4x the winding number of the sample polygon, with no
 floating-point argument accumulation to drift.  Both the count and the
-refinement predicate work on whole arrays of segments at once.
+refinement predicate work on whole arrays of segments at once.  The count
+certifies nothing: ``kldet`` certifies a curve by the predicate, as it refines.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ ORIGIN_EPS = 1e-300
 QUARTER_TURN = np.pi / 2.0
 PROXIMITY_FLOOR = 1e-12
 PROXIMITY_FRACTION = 0.1
+# samples of modulus below this keep every product the predicate forms finite
+MAX_MODULUS = float(np.sqrt(np.finfo(float).max)) / 4.0
 
 
 @dataclass(frozen=True)
 class WindingResult:
-    """Index of the origin, the closest sample, and segment certification."""
+    """Index of the origin and the modulus of the closest sample."""
 
     index: int
     min_distance: float
-    certified: bool
 
 
 def _quadrant(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -72,8 +74,6 @@ def winding_number(samples) -> WindingResult:
 
     The last sample connects back to the first.  Raises OriginOnCurve when a
     sample (modulus below 1e-300) or a segment passes exactly through 0.
-    ``certified`` is True when every segment satisfies the refinement predicate,
-    in which case the polygon index equals the underlying curve's index.
     """
     pts = np.asarray(samples, dtype=complex)
     if len(pts) < 2:
@@ -99,7 +99,4 @@ def winding_number(samples) -> WindingResult:
         + np.sum(np.where(cross[half] > 0, 2, -2))
     )
     assert total % 4 == 0, "quadrant transitions must telescope to a multiple of 4"
-    certified = not np.any(needs_refinement(pts, nxt))
-    return WindingResult(
-        index=total // 4, min_distance=float(np.min(mods)), certified=certified
-    )
+    return WindingResult(index=total // 4, min_distance=float(np.min(mods)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,8 +252,9 @@ def test_check_curve_out_traces_the_curve_once(tmp_path, capsys, monkeypatch):
         calls.append(1)
         return kl_curve(*args, **kwargs)
 
+    # the CLI traces curves only through the verdict layer
+    assert not hasattr(klstab.cli, "kl_curve")
     monkeypatch.setattr(klstab.verdict, "kl_curve", counting)
-    monkeypatch.setattr(klstab.cli, "kl_curve", counting)
     cpath = tmp_path / "c.csv"
     code, out, _ = run_cli(
         ["check", "--scheme", "o3", "--boundary", "R3,0", "--sigma", "-0.4",
@@ -262,3 +265,43 @@ def test_check_curve_out_traces_the_curve_once(tmp_path, capsys, monkeypatch):
     assert out.strip() == "status=stable winding=2 zeros=0"
     assert len(calls) == 1
     assert cpath.read_bytes() == expected.read_bytes()
+
+
+def test_curve_writes_the_curve_check_traced(tmp_path, capsys):
+    args = ["--scheme", "o3", "--boundary", "R3,0", "--sigma", "-0.4",
+            "--lambda", "0.4"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["curve", *args, "--out", str(a)]) == 0
+    assert main(["check", *args, "--curve-out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_curve_applies_the_check_preconditions(tmp_path, capsys):
+    # upwind at lambda 1.5 is not Cauchy-stable; no curve is traced
+    code, out, err = run_cli(
+        ["curve", "--scheme", "upwind", "--boundary", "R3,0", "--lambda", "1.5",
+         "--out", str(tmp_path / "c.csv")],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.strip() == "error: Cauchy-stability violated"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["check", "curve", "simulate"])
+def test_non_finite_ghost_matrix_is_an_error_line(command, entry, tmp_path, capsys):
+    bpath = tmp_path / "b.bnd"
+    bpath.write_text(f"matrix 1 2\n{entry} 0.5\n")
+    out_flag = "--curve-out" if command == "check" else "--out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            [command, "--scheme", "upwind", "--boundary", f"@{bpath}",
+             "--lambda", "0.5", out_flag, str(tmp_path / "out.csv")],
+            capsys,
+        )
+    assert code == 1 and out == ""
+    assert err.strip() == "error: matrix entries must be finite"
+    assert sorted(tmp_path.iterdir()) == [bpath]

@@ -461,6 +461,21 @@ def test_curve_csv_round_trip(tmp_path):
     assert winding_number(back.values).index == winding_number(curve.values).index
 
 
+def test_kl_curve_certifies_its_last_round(tmp_path):
+    # this case refines past its initial grid; with no refinement allowed its
+    # last round still flags segments
+    tmpl = template("o3")
+    bc = recon_bc(tmpl, 0.05, 3, 0, -0.49)
+    coarse = kl_curve(tmpl(0.05), bc, n_init=64, max_depth=0)
+    fine = kl_curve(tmpl(0.05), bc, n_init=64)
+    assert not coarse.certified
+    assert fine.certified and np.max(fine.depths) > 0
+    for curve in (coarse, fine):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(curve, str(path))
+        assert read_curve_csv(str(path)).certified == curve.certified
+
+
 def test_kl_curve_requires_minimum_resolution():
     tmpl = template("o3")
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import klstab.kldet
+import klstab.winding
 from klstab.boundary import ReconstructionSpec
 from klstab.errors import EmptyGrid
 from klstab.kldet import delta, kl_curve
@@ -160,7 +161,13 @@ def check_inputs(draw):
         return tmpl, ReconstructionSpec(d, k_d, sigma), lam
     s = tmpl(lam)
     width = draw(st.integers(s.r + s.p, s.r + s.p + 3))
-    B = draw(arrays(float, (s.r, width), elements=st.floats(-2.0, 2.0)))
+    # mostly moderate entries, also huge ones and values that are not finite
+    entries = st.one_of(
+        st.floats(-2.0, 2.0),
+        st.floats(-1e300, 1e300),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    B = draw(arrays(float, (s.r, width), elements=entries))
     return tmpl, B, lam
 
 
@@ -219,6 +226,53 @@ def test_marginal_when_curve_touches_origin():
     assert v.status == STATUS_MARGINAL
     assert v.winding is None
     assert v.diagnostics["min_curve_distance"] < 1e-6
+
+
+def test_check_runs_the_predicate_once(monkeypatch):
+    # o3 R3,0 at sigma -0.4, lambda 0.4 needs no refinement: the round that
+    # finds nothing to split certifies the curve, and nothing else re-runs it
+    calls = []
+    predicate = klstab.winding.needs_refinement
+
+    def counting(*args):
+        calls.append(args)
+        return predicate(*args)
+
+    monkeypatch.setattr(klstab.kldet, "needs_refinement", counting)
+    monkeypatch.setattr(klstab.winding, "needs_refinement", counting)
+    v = check(template("o3"), ReconstructionSpec(3, 0, -0.4), 0.4)
+    assert v.status == STATUS_STABLE and v.max_refine_depth == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_ghost_matrix_is_invalid(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(template("upwind"), np.array([[entry, 0.5]]), 0.5)
+    assert v.status == STATUS_INVALID
+    assert v.error == "ValueError: ghost matrix B and its calB must be finite"
+
+
+@pytest.mark.parametrize(
+    "name, B",
+    [
+        ("upwind", [[1e160, 1e160]]),
+        ("upwind", [[0.5, 1e300]]),
+        ("o3", np.full((2, 3), 1e200)),
+        ("o3", np.eye(2, 3) * 1e200),
+        ("lw5", np.full((3, 5), 1e160)),
+        ("lw5", np.eye(3, 5) * 1e160),
+        ("lw5", np.full((3, 5), -1e300)),
+    ],
+)
+def test_overflowing_curve_is_marginal(name, B):
+    # samples too large for the refinement predicate's products end the curve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(template(name), np.array(B), 0.5)
+    assert v.status == STATUS_MARGINAL and not v.certified
+    assert " at theta = " in v.error
 
 
 def test_check_is_pure():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import recon_bc
 from klstab.errors import OriginOnCurve
-from klstab.kldet import kl_curve
+from klstab.kldet import KLCurve, kl_curve, read_curve_csv, write_curve_csv
 from klstab.scheme import template
 from klstab.winding import needs_refinement, winding_number
 
@@ -14,10 +14,21 @@ def circle_samples(turns: int, n: int) -> np.ndarray:
     return np.exp(1j * turns * np.linspace(0, 2 * np.pi, n, endpoint=False))
 
 
-def test_unit_circle():
-    res = winding_number(circle_samples(1, 64))
+def read_back(samples, tmp_path) -> KLCurve:
+    """``samples`` written as a curve file and read back, certified on reading."""
+    n = len(samples)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    curve = KLCurve(thetas, np.asarray(samples, dtype=complex), np.zeros(n, int), False)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, str(path))
+    return read_curve_csv(str(path))
+
+
+def test_unit_circle(tmp_path):
+    samples = circle_samples(1, 64)
+    res = winding_number(samples)
     assert res.index == 1
-    assert res.certified
+    assert read_back(samples, tmp_path).certified
     assert res.min_distance == pytest.approx(1.0)
 
 
@@ -174,7 +185,7 @@ def reference_winding(pts) -> tuple[int, bool]:
     return total // 4, certified
 
 
-def test_array_forms_match_loop_reference(rng):
+def test_array_forms_match_loop_reference(rng, tmp_path):
     # random segments over all angles and scales, plus exact quarter turns
     a = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
     turn = np.exp(1j * rng.uniform(-np.pi, np.pi, 4000))
@@ -185,11 +196,14 @@ def test_array_forms_match_loop_reference(rng):
     expected = [reference_needs_refinement(x, y) for x, y in pairs]
     assert needs_refinement(a, b).tolist() == expected
     # random closed polygons, coarse enough that some are not certified
+    certified = []
     for _ in range(50):
         n = int(rng.integers(3, 40))
         pts = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        res = winding_number(pts)
-        assert (res.index, res.certified) == reference_winding(pts)
+        got = (winding_number(pts).index, read_back(pts, tmp_path).certified)
+        assert got == reference_winding(pts)
+        certified.append(got[1])
+    assert not all(certified)
 
 
 def test_needs_refinement_array_equals_scalar_on_o3_curve():
@@ -205,9 +219,8 @@ def test_needs_refinement_array_equals_scalar_on_o3_curve():
     assert any(flags)
 
 
-def test_certified_flag_reflects_predicate():
+def test_certified_flag_reflects_predicate(tmp_path):
     coarse = circle_samples(1, 3)  # 120-degree jumps
-    res = winding_number(coarse)
-    assert not res.certified
+    assert not read_back(coarse, tmp_path).certified
     fine = circle_samples(1, 64)
-    assert winding_number(fine).certified
+    assert read_back(fine, tmp_path).certified

@@ -6,17 +6,21 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B; then the three pure-extrapolation
-checks of EXTRAPOLATION (upwind R3,-1, o3 and lw5 R2,-1), whose curves touch
-the origin at z = 1 and end marginal; and, last, the two checks of
-ODD_SAMPLES, o3 at lambda = 1 and lw5, traced from 255 initial samples, so
-that no sample sits at z = -1.  An input traces N_INIT initial samples
-unless it names its own ``n_init``.  It then runs the sweeps of MAPS: o3
-R3,0 12x12, lw5 R5,0 8x6, and an lw5 R5,0 8x8 from lambda 0.02, whose first
-row refines several cells on one shared scheme.  The JSON it writes holds,
-per input, the status, winding, zeros, every diagnostic and the traced curve
-(thetas, values, depths), and the CSV text of each map.  A check that raises is recorded with status
-``raised <ExceptionType>`` and the message as its error.
+R<d>,<k_d> or random ghost matrices B.  Then come three fixed lists:
+EXTRAPOLATION, the three pure-extrapolation checks (upwind R3,-1, o3 and lw5
+R2,-1), whose curves touch the origin at z = 1 and end marginal; ODD_SAMPLES,
+o3 at lambda = 1 and lw5, traced from 255 initial samples, so that no sample
+sits at z = -1; and OVERFLOW, ghost matrices whose entries are not finite
+(invalid_precondition) or so large that the curve's values are beyond the
+refinement predicate (marginal).  OVERFLOW keeps its entries as strings,
+because a JSON NaN never equals itself.  An input traces N_INIT initial
+samples unless it names its own ``n_init``.  It then runs the sweeps of MAPS:
+o3 R3,0 12x12, lw5 R5,0 8x6, and an lw5 R5,0 8x8 from lambda 0.02, whose
+first row refines several cells on one shared scheme.  The JSON it writes
+holds, per input, the status, winding, zeros, every diagnostic and the traced
+curve (thetas, values, depths), and the CSV text of each map.  A check that
+raises is recorded with status ``raised <ExceptionType>`` and the message as
+its error.
 
 ``compare`` prints how many values differ in each field, the largest relative
 difference of the curve values and of each numeric diagnostic, and whether
@@ -50,6 +54,15 @@ EXTRAPOLATION = [
 ODD_SAMPLES = [
     {"scheme": "o3", "lam": 1.0, "recon": [3, 0, -0.3], "n_init": 255},
     {"scheme": "lw5", "lam": 0.6, "recon": [5, 0, 0.2], "n_init": 255},
+]
+OVERFLOW = [
+    {"scheme": "upwind", "lam": 0.5, "B": [["nan", "0.5"]]},
+    {"scheme": "upwind", "lam": 0.5, "B": [["inf", "0.5"]]},
+    {"scheme": "upwind", "lam": 0.5, "B": [["1e160", "1e160"]]},
+    {"scheme": "o3", "lam": 0.5, "B": [["1e200", "0", "0"], ["0", "1e200", "0"]]},
+    {"scheme": "o3", "lam": 0.5, "B": [["1e200"] * 3] * 2},
+    {"scheme": "lw5", "lam": 0.5, "B": [["1e160"] * 5] * 3},
+    {"scheme": "lw5", "lam": 0.5, "B": [["1e300"] * 5] * 3},
 ]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
@@ -94,7 +107,10 @@ def run_check(inp: dict) -> dict:
     from klstab.scheme import template
     from klstab.verdict import _check
 
-    spec = ReconstructionSpec(*inp["recon"]) if "recon" in inp else np.array(inp["B"])
+    if "recon" in inp:
+        spec = ReconstructionSpec(*inp["recon"])
+    else:
+        spec = np.array(inp["B"], dtype=float)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -148,7 +164,7 @@ def record_maps() -> dict[str, str]:
 
 
 def record() -> dict:
-    inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES
+    inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES + OVERFLOW
     return {
         "inputs": inputs,
         "checks": [run_check(inp) for inp in inputs],
