@@ -105,8 +105,8 @@ def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
     """Eliminate ghosts: calB = A[:, :r] B + A[:, r:].
 
     A is the r x (r+m) stencil of the first r interior updates over the
-    columns (U_{-r}, ..., U_{-1}, U_0, ..., U_{m-1}): row i holds a_k at
-    column r+i+k.  Its ghost block multiplies B, its interior block is added.
+    columns (U_{-r}, ..., U_{-1}, U_0, ..., U_{m-1}), zero past the scheme's
+    ``stencil`` columns.  Its ghost block multiplies B, its interior block is added.
     """
     B = np.asarray(B, dtype=float)
     r, p = s.r, s.p
@@ -115,10 +115,7 @@ def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
     m = B.shape[1]
     if m < p + r:
         raise ShapeMismatch(f"m={m} must be >= p+r={p + r}")
-    coeffs = s.coeff_array()
-    A = np.zeros((r, r + m))
-    for i in range(r):
-        A[i, i : i + r + p + 1] = coeffs
+    A = np.concatenate((s.stencil, np.zeros((r, m - r - p))), axis=1)
     # BoundaryCondition rejects a calB that overflows or is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         return A[:, :r] @ B + A[:, r:]

@@ -33,6 +33,7 @@ certifies the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .poly import ComplexPolynomial, find_roots_many, min_modulus_on_circle
-from .scheme import TOL_UNIT, Scheme, characteristic_coefficients
+from .scheme import TOL_UNIT, Scheme
 from .winding import MAX_MODULUS, needs_refinement
 
 CLUSTER_TOL = 1e-7
@@ -321,7 +322,7 @@ def _trim_batch(rows: np.ndarray, r: int) -> np.ndarray:
 
 def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
     """Ascending coefficient rows of P_z, one per z, trimmed together."""
-    rows = np.tile(characteristic_coefficients(s, 0.0), (len(zs), 1))
+    rows = np.tile(s.char_row, (len(zs), 1))
     rows[:, s.r] -= zs
     return _trim_batch(rows, s.r)
 
@@ -364,6 +365,16 @@ def _delta_batch(
         return np.linalg.det(zs[:, None, None] * np.eye(sig.shape[1]) - bt)
 
 
+@lru_cache(maxsize=8)
+def _initial_grid(n_init: int) -> tuple[np.ndarray, np.ndarray]:
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
+    zs = np.exp(1j * thetas)
+    zs[n_init // 2 + 1 :] = zs[(n_init - 1) // 2 : 0 : -1].conj()
+    for grid in (thetas, zs):
+        grid.setflags(write=False)
+    return thetas, zs
+
+
 def kl_curve(
     s: Scheme,
     bc: BoundaryCondition,
@@ -374,8 +385,8 @@ def kl_curve(
 
     The n_init initial thetas are equispaced from 0; the z of each theta above
     pi is the exact conjugate of the z of 2 pi - theta, so the two share one
-    solve of the scheme side; the grid's sigma(z) rows are solved once per
-    Scheme instance and kept in ``s.grid_sigmas[n_init]``.  Bisection of an
+    solve of the scheme side.  The grid is kept read-only per n_init, and its
+    sigma(z) rows per Scheme instance in ``s.grid_sigmas[n_init]``.  Bisection of an
     arc stops once the winding predicate accepts the segment or the arc has
     been halved ``max_depth`` times; the curve is ``certified`` when that
     last predicate pass flagged no segment.  A sample within
@@ -390,9 +401,7 @@ def kl_curve(
         raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
     if s.r < 1:
         raise ValueError("curve requires r >= 1")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
-    zs = np.exp(1j * thetas)
-    zs[n_init // 2 + 1 :] = zs[(n_init - 1) // 2 : 0 : -1].conj()
+    thetas, zs = _initial_grid(n_init)
     if n_init not in s.grid_sigmas:
         s.grid_sigmas[n_init] = _stable_sigmas(s, zs)
     values = _delta_batch(bc, zs, s.grid_sigmas[n_init])
@@ -413,8 +422,8 @@ def kl_curve(
                 f"at theta = {thetas[far[0]]:.17g}"
             )
         # segment i runs from sample i to sample i + 1, the last one back to 0
-        flags = needs_refinement(values, np.roll(values, -1))
-        child = np.maximum(depths, np.roll(depths, -1)) + 1
+        flags = needs_refinement(values, np.concatenate((values[1:], values[:1])))
+        child = np.maximum(depths, np.concatenate((depths[1:], depths[:1]))) + 1
         split = np.flatnonzero(flags & (child <= max_depth))
         if not len(split):
             return KLCurve(thetas, values, depths, certified=not flags.any())

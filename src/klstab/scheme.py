@@ -10,6 +10,7 @@ fifth-order Lax-Wendroff scheme, each as polynomial functions of the CFL number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,9 +38,11 @@ class Scheme:
     rounding: its a_1 is 5.55e-17 at lambda = 1 and 1.1e-16 at lambda = 2, not
     0, and each such residue leaves a spurious characteristic root near 1e16.
 
-    ``grid_sigmas`` maps n_init to the sigma(z) rows of ``kl_curve``'s initial
-    grid, which every boundary traced on this instance reads; it takes no part
-    in equality or the repr.
+    Each instance keeps, from first use, what every boundary traced on it (a
+    sweep's lambda row) reads: the ``cauchy`` report; ``build_calB``'s read-only
+    ``stencil``, a_k at row i, column r+i+k; ``_char_rows``' read-only
+    ``char_row``; ``grid_sigmas``, the sigma(z) rows of ``kl_curve``'s initial
+    grid by n_init.  None of these takes part in equality or the repr.
     """
 
     r: int
@@ -69,6 +72,27 @@ class Scheme:
         """Coefficients as a dense array indexed 0..r+p for k = -r..p."""
         return np.array([self.coeffs[k] for k in range(-self.r, self.p + 1)])
 
+    @cached_property
+    def cauchy(self) -> CauchyReport:
+        mods = np.abs(np.fft.fft(self.coeff_array(), CAUCHY_SAMPLES))
+        i = int(np.argmax(mods))
+        stable = bool(mods[i] <= 1.0 + CAUCHY_TOL)
+        return CauchyReport(stable, 2.0 * np.pi * i / CAUCHY_SAMPLES, float(mods[i]))
+
+    @cached_property
+    def stencil(self) -> np.ndarray:
+        rows = np.zeros((self.r, 2 * self.r + self.p))
+        for i in range(self.r):
+            rows[i, i : i + self.r + self.p + 1] = self.coeff_array()
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def char_row(self) -> np.ndarray:
+        row = self.coeff_array().astype(complex)
+        row.setflags(write=False)
+        return row
+
 
 class CauchyReport(NamedTuple):
     stable: bool
@@ -86,28 +110,18 @@ def is_cauchy_stable(s: Scheme) -> CauchyReport:
 
     The moduli come from one FFT of the coefficient array: entry i of the
     transform is exp(-i r xi_i) conj(gamma(xi_i)) at xi_i = 2 pi i / N, because
-    the coefficients are real.  Reports the worst offender.  Where the maximum
-    ties within rounding, as at xi and its mirror 2 pi - xi or on a flat
-    maximum near xi = 0, ``xi_worst`` may be any of the tied samples.
+    the coefficients are real.  The worst is reported, once per instance as
+    ``s.cauchy``, which a sweep row's cells share.  Where the maximum ties in
+    rounding (xi and 2 pi - xi, or a flat maximum near xi = 0), ``xi_worst``
+    may be any of the tied samples.
     """
-    mods = np.abs(np.fft.fft(s.coeff_array(), CAUCHY_SAMPLES))
-    i = int(np.argmax(mods))
-    return CauchyReport(
-        bool(mods[i] <= 1.0 + CAUCHY_TOL),
-        2.0 * np.pi * i / CAUCHY_SAMPLES,
-        float(mods[i]),
-    )
-
-
-def characteristic_coefficients(s: Scheme, z: complex) -> np.ndarray:
-    """Ascending coefficients of P_z(kappa) = sum a_k kappa^{r+k} - z kappa^r."""
-    cs = s.coeff_array().astype(complex)
-    cs[s.r] -= z
-    return cs
+    return s.cauchy
 
 
 def characteristic_polynomial(s: Scheme, z: complex) -> ComplexPolynomial:
-    return ComplexPolynomial(characteristic_coefficients(s, z))
+    cs = s.char_row.copy()  # P_z(kappa) = sum a_k kappa^{r+k} - z kappa^r
+    cs[s.r] -= z
+    return ComplexPolynomial(cs)
 
 
 def hersh_split(

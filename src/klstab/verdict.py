@@ -13,6 +13,7 @@ violates the stability condition).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -45,9 +46,9 @@ BoundarySpec = ReconstructionSpec | np.ndarray | BoundaryCondition
 class StabilityVerdict:
     """Outcome of one check: winding index, unstable-zero count, and status.
 
-    The fields after ``lam`` say how the check got there and are None where
-    it stopped before reaching them.  Slots keep a verdict at about 190 bytes,
-    which a sweep or a long run holds by the thousand.
+    The fields after ``lam`` say how the check got there, None where it
+    stopped before them; a sweep row's verdicts share one Cauchy report's
+    floats.  Slots keep a verdict at about 190 bytes, held by the thousand.
     """
 
     winding: int | None
@@ -124,50 +125,49 @@ def _check(
 ) -> tuple[StabilityVerdict, KLCurve | None]:
     """The verdict of ``check`` with the curve it traced, None if it traced none."""
     diag: dict = {}
+
+    def stop(status: str, error: str, curve: KLCurve | None = None):
+        return StabilityVerdict(None, None, status, lam, **diag, error=error), curve
+
     if lam <= 0:
-        diag["error"] = "lambda must be positive"
-        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
+        return stop(STATUS_INVALID, "lambda must be positive")
+    try:
+        n_init = operator.index(n_init)
+    except TypeError:
+        return stop(STATUS_INVALID, f"n_init must be an integer (got {n_init!r})")
     if n_init < MIN_INIT_SAMPLES:
-        diag["error"] = f"n_init must be >= {MIN_INIT_SAMPLES}"
-        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
+        return stop(STATUS_INVALID, f"n_init must be >= {MIN_INIT_SAMPLES}")
     try:
         scheme = s_template(lam)
     except (ValueError, KLStabError) as exc:
-        diag["error"] = f"scheme construction failed: {exc}"
-        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
+        return stop(STATUS_INVALID, f"scheme construction failed: {exc}")
     if scheme.r == 0:
-        diag["error"] = "r = 0: no boundary modes, pipeline does not apply"
-        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
+        return stop(STATUS_INVALID, "r = 0: no boundary modes, pipeline does not apply")
 
     cauchy = is_cauchy_stable(scheme)
     diag["cauchy_max_modulus"] = cauchy.max_modulus
     diag["cauchy_xi_worst"] = cauchy.xi_worst
     if not cauchy.stable:
-        diag["error"] = "Cauchy-stability violated"
-        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
+        return stop(STATUS_INVALID, "Cauchy-stability violated")
 
     try:
         bc = _build_boundary(bc_spec, scheme)
         curve = kl_curve(scheme, bc, n_init=n_init, max_depth=max_depth)
     except RefinementExhausted as exc:
-        diag["error"] = str(exc)
-        return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), None
+        return stop(STATUS_MARGINAL, str(exc))
     except (KLStabError, ValueError) as exc:
-        diag["error"] = f"{type(exc).__name__}: {exc}"
-        return StabilityVerdict(None, None, STATUS_INVALID, lam, **diag), None
+        return stop(STATUS_INVALID, f"{type(exc).__name__}: {exc}")
 
     diag["curve_samples"] = len(curve)
     diag["max_refine_depth"] = int(np.max(curve.depths))
     try:
         wres = winding_number(curve.values)
     except OriginOnCurve as exc:
-        diag["error"] = str(exc)
-        return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), curve
+        return stop(STATUS_MARGINAL, str(exc), curve)
     diag["min_curve_distance"] = wres.min_distance
 
     if not curve.certified:
-        diag["error"] = "curve not certifiable away from the origin"
-        return StabilityVerdict(None, None, STATUS_MARGINAL, lam, **diag), curve
+        return stop(STATUS_MARGINAL, "curve not certifiable away from the origin", curve)
     zeros = scheme.r - wres.index
     status = STATUS_STABLE if zeros == 0 else STATUS_UNSTABLE
     return StabilityVerdict(wres.index, zeros, status, lam, **diag), curve
@@ -182,8 +182,8 @@ def sweep(
 ) -> SweepGrid:
     """One check per cell; cells never abort the sweep.
 
-    Each lambda row builds its scheme once, so the row's cells share the
-    sigma(z) rows of its initial curve grid.  A cell's verdict equals that of
+    Each lambda row builds its scheme once, so the row's cells share its
+    Cauchy report and initial grid sigma(z) rows.  A cell's verdict equals that of
     a standalone check.  ``r`` comes from the last row whose scheme builds,
     and is 0 if none does.
     """

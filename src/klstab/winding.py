@@ -34,11 +34,9 @@ class WindingResult:
 
 
 def _quadrant(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return np.select(
-        [(re > 0) & (im >= 0), (re <= 0) & (im > 0), (re < 0) & (im <= 0)],
-        [0, 1, 2],
-        3,
-    )
+    # quadrants 0, 1, 2 are exclusive conditions; the rest, 0 and nan too, is 3
+    q0, q1 = (re > 0) & (im >= 0), (re <= 0) & (im > 0)
+    return 3 - 3 * q0 - 2 * q1 - ((re < 0) & (im <= 0))
 
 
 def needs_refinement(a, b):
@@ -83,20 +81,17 @@ def winding_number(samples) -> WindingResult:
     if len(at_origin):
         raise OriginOnCurve(f"sample at {pts[at_origin[0]]} is numerically the origin")
 
-    nxt = np.roll(pts, -1)
-    quadrants = _quadrant(pts.real, pts.imag)
-    steps = (np.roll(quadrants, -1) - quadrants) % 4
-    # opposite quadrants: the side of the origin the segment passes decides
+    ring = np.concatenate((pts, pts[:1]))
+    nxt = ring[1:]  # sample i + 1, the first for the last
+    quadrants = _quadrant(ring.real, ring.imag)
+    # quarter turns -1, 0, +1, or 2: then the segment's side of 0 decides +-2
+    steps = (quadrants[1:] - quadrants[:-1] + 1) % 4 - 1
     half = steps == 2
     cross = pts.real * nxt.imag - pts.imag * nxt.real
     through = np.flatnonzero(half & (cross == 0.0))
     if len(through):
         i = through[0]
         raise OriginOnCurve(f"segment {pts[i]} -> {nxt[i]} passes through the origin")
-    total = int(
-        np.sum(steps == 1)
-        - np.sum(steps == 3)
-        + np.sum(np.where(cross[half] > 0, 2, -2))
-    )
+    total = int(np.sum(steps) - 4 * np.count_nonzero(~(cross[half] > 0)))
     assert total % 4 == 0, "quadrant transitions must telescope to a multiple of 4"
     return WindingResult(index=total // 4, min_distance=float(np.min(mods)))

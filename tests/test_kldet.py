@@ -151,6 +151,17 @@ def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init):
     assert np.array_equal(rows[n_init // 2 + 1 :], mirrored.conj())
 
 
+def test_initial_grid_is_read_only():
+    # kl_curve keeps each initial grid for every later curve of its n_init
+    tmpl = template("o3")
+    curve = kl_curve(tmpl(0.4), recon_bc(tmpl, 0.4, 3, 0, -0.4), n_init=64)
+    thetas, zs = klstab.kldet._initial_grid(64)
+    assert np.array_equal(curve.thetas, thetas) and len(zs) == 64
+    for grid in (thetas, zs):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+
+
 def test_grid_sigmas_are_kept_per_n_init():
     # one scheme traced at two initial resolutions must give the curves of
     # fresh schemes at each; a memo not keyed by n_init would mix the grids

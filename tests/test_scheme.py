@@ -209,5 +209,13 @@ def test_template_lookup_case_insensitive():
 def test_grid_sigmas_are_not_part_of_scheme_identity():
     a, b = template("o3")(0.5), template("o3")(0.5)
     a.grid_sigmas[64] = np.zeros((64, 2), dtype=complex)
+    kept = ("cauchy", "stencil", "char_row")
+    for name in kept:
+        getattr(a, name)  # computed on first use, and kept on ``a`` alone
+    assert not set(kept) & set(vars(b))
     assert a == b and "grid_sigmas" not in repr(a)
+    assert not any(name in repr(a) for name in kept)
     assert list(a.grid_sigmas) == [64] and b.grid_sigmas == {}
+    for kept_rows in (a.stencil, a.char_row):
+        with pytest.raises(ValueError, match="read-only"):
+            kept_rows[0] = 0.0

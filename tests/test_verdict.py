@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import klstab.kldet
+import klstab.scheme
+import klstab.verdict
 import klstab.winding
 from klstab.boundary import ReconstructionSpec
 from klstab.errors import EmptyGrid
@@ -219,6 +221,23 @@ def test_small_n_init_is_invalid_in_check_and_sweep():
     assert [v.status for v in grid.results[0]] == [STATUS_INVALID, STATUS_INVALID]
 
 
+@pytest.mark.parametrize("n_init", [256.0, 300.5, "256"])
+def test_non_integral_n_init_is_invalid_in_check_and_sweep(n_init):
+    v = check(template("o3"), ReconstructionSpec(3, 0, 0.1), 0.5, n_init=n_init)
+    assert v.status == STATUS_INVALID
+    assert v.error == f"n_init must be an integer (got {n_init!r})"
+    grid = sweep(
+        template("o3"), lambda s: ReconstructionSpec(3, 0, s), [0.5], [0.1], n_init=n_init
+    )
+    assert grid.results[0] == [v]
+
+
+def test_numpy_integer_n_init_is_accepted():
+    spec = ReconstructionSpec(3, 0, 0.1)
+    v = check(template("o3"), spec, 0.5, n_init=np.int64(128))
+    assert v.certified and v == check(template("o3"), spec, 0.5, n_init=128)
+
+
 def test_marginal_when_curve_touches_origin():
     # the centered-average scheme with its own halfcell average boundary has a
     # determinant zero at z = 1, so the curve cannot be certified off the origin
@@ -332,6 +351,30 @@ def test_sweep_row_solves_the_scheme_side_once(monkeypatch):
     )
     assert all(v.certified for v in grid.results[0])
     assert len(calls) == 129
+
+
+def test_sweep_row_shares_one_cauchy_report(monkeypatch):
+    # the row's scheme keeps its report: one FFT for 8 cells, while check
+    # still asks is_cauchy_stable once per cell
+    ffts, reports = [], []
+    fft, cauchy = klstab.scheme.np.fft.fft, klstab.verdict.is_cauchy_stable
+
+    def counting_fft(*args):
+        ffts.append(args)
+        return fft(*args)
+
+    def counting_cauchy(s):
+        reports.append(cauchy(s))
+        return reports[-1]
+
+    monkeypatch.setattr(klstab.scheme.np.fft, "fft", counting_fft)
+    monkeypatch.setattr(klstab.verdict, "is_cauchy_stable", counting_cauchy)
+    sigs = np.linspace(-0.45, 0.45, 8)
+    grid = sweep(template("o3"), lambda s: ReconstructionSpec(3, 0, s), [0.5], sigs)
+    row = grid.results[0]
+    assert len(ffts) == 1 and len(reports) == 8
+    assert all(v.cauchy_max_modulus is row[0].cauchy_max_modulus for v in row)
+    assert all(v.cauchy_xi_worst is row[0].cauchy_xi_worst for v in row)
 
 
 def test_refining_sweep_row_matches_standalone_checks():

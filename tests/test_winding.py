@@ -7,7 +7,7 @@ from conftest import recon_bc
 from klstab.errors import OriginOnCurve
 from klstab.kldet import KLCurve, kl_curve, read_curve_csv, write_curve_csv
 from klstab.scheme import template
-from klstab.winding import needs_refinement, winding_number
+from klstab.winding import _quadrant, needs_refinement, winding_number
 
 
 def circle_samples(turns: int, n: int) -> np.ndarray:
@@ -224,3 +224,49 @@ def test_certified_flag_reflects_predicate(tmp_path):
     assert not read_back(coarse, tmp_path).certified
     fine = circle_samples(1, 64)
     assert read_back(fine, tmp_path).certified
+
+
+def _quadrant_by_select(re, im):
+    """The np.select rule that ``_quadrant`` replaced, kept as its reference."""
+    return np.select(
+        [(re > 0) & (im >= 0), (re <= 0) & (im > 0), (re < 0) & (im <= 0)],
+        [0, 1, 2],
+        3,
+    )
+
+
+def test_quadrant_matches_select_rule():
+    # signed zeros, infinities and nan; the origin and nan both fall in 3
+    edge = [-1.0, -0.0, 0.0, 1.0, np.inf, -np.inf, np.nan]
+    re, im = np.array([(a, b) for a in edge for b in edge]).T
+    got = _quadrant(re, im)
+    assert got.dtype.kind == "i" and got.tolist() == _quadrant_by_select(re, im).tolist()
+    assert _quadrant(np.array([0.0, np.nan]), np.array([0.0, 1.0])).tolist() == [3, 3]
+
+
+def test_winding_count_on_edge_values_matches_loop(rng):
+    # signed zeros, infinities and nan take the same branches as the loop form
+    edge = np.array([1.0, -1.0, 2.5, -0.0, 0.0, np.inf, -np.inf, np.nan])
+
+    def loop_count(pts):
+        if any(abs(v) < 1e-300 for v in pts):
+            return None
+        total = 0
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            qa, qb = (int(_quadrant_by_select(v.real, v.imag)) for v in (a, b))
+            d = (qb - qa) % 4
+            cross = a.real * b.imag - a.imag * b.real
+            if d == 2 and cross == 0.0:
+                return None
+            total += (2 if cross > 0 else -2) if d == 2 else {0: 0, 1: 1, 3: -1}[d]
+        return total // 4
+
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        pts = [complex(x, y) for x, y in zip(rng.choice(edge, n), rng.choice(edge, n))]
+        with np.errstate(all="ignore"):
+            try:
+                got = winding_number(pts).index
+            except OriginOnCurve:
+                got = None
+        assert got == loop_count(pts), pts

@@ -15,8 +15,10 @@ sits at z = -1; and OVERFLOW, ghost matrices whose entries are not finite
 refinement predicate (marginal).  OVERFLOW keeps its entries as strings,
 because a JSON NaN never equals itself.  An input traces N_INIT initial
 samples unless it names its own ``n_init``.  It then runs the sweeps of MAPS:
-o3 R3,0 12x12, lw5 R5,0 8x6, and an lw5 R5,0 8x8 from lambda 0.02, whose
-first row refines several cells on one shared scheme.  The JSON it writes
+o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from lambda 0.02, whose
+first row refines several cells on one shared scheme, and an o3 R3,0 4x4 over
+lambda 0.9..1.2, whose integer-CFL row and two Cauchy-invalid rows each read
+one Cauchy report that all the row's cells share.  The JSON it writes
 holds, per input, the status, winding, zeros, every diagnostic and the traced
 curve (thetas, values, depths), and the CSV text of each map.  A check that
 raises is recorded with status ``raised <ExceptionType>`` and the message as
@@ -69,6 +71,7 @@ MAPS = {
     "o3 R3,0 12x12": ("o3", 3, 0, (0.05, 1.0, 12), (-0.49, 0.49, 12)),
     "lw5 R5,0 8x6": ("lw5", 5, 0, (0.05, 1.0, 8), (-0.49, 0.49, 6)),
     "lw5 R5,0 8x8 from 0.02": ("lw5", 5, 0, (0.02, 1.0, 8), (-0.49, 0.49, 8)),
+    "o3 R3,0 4x4 over 0.9..1.2": ("o3", 3, 0, (0.9, 1.2, 4), (-0.49, 0.49, 4)),
 }
 # Fields whose difference, like any map's, makes ``compare`` fail.
 FATAL = ("status", "winding", "zeros", "curve presence", "curve thetas", "curve depths")
