@@ -125,8 +125,8 @@ def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
 class BoundaryCondition:
     """Ghost matrix B (r x m) together with its eliminated form calB.
 
-    calB is stored redundantly; ``validate`` recomputes it from (B, scheme).
-    Both must be finite.
+    calB is stored redundantly; ``validate``, which ``check`` runs on a prebuilt
+    boundary, recomputes it from (B, scheme).  Both must be finite.
     """
 
     m: int
@@ -147,14 +147,17 @@ class BoundaryCondition:
 
     def validate(self, s: Scheme) -> None:
         fresh = build_calB(self.B, s)
-        err = float(np.max(np.abs(fresh - self.calB)))
+        with np.errstate(over="ignore"):  # a difference past the largest float is inf
+            err = float(np.max(np.abs(fresh - self.calB)))
         if err > CALB_REBUILD_TOL * (1.0 + float(np.max(np.abs(fresh)))):
             raise ValueError(f"stored calB deviates from rebuild by {err:.3e}")
 
     @classmethod
     def from_matrix(cls, B: np.ndarray, s: Scheme) -> "BoundaryCondition":
+        """Boundary of ghost matrix B on scheme s; ``build_calB`` checks B's shape."""
         B = np.asarray(B, dtype=float)
-        return cls(m=B.shape[1], B=B, calB=build_calB(B, s))
+        calB = build_calB(B, s)
+        return cls(m=B.shape[1], B=B, calB=calB)
 
     @classmethod
     def from_reconstruction(

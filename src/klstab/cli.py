@@ -54,9 +54,7 @@ def _scheme_template(spec: str) -> SchemeTemplate:
         return custom_template(spec[1:])
     if spec.lower() in TEMPLATES:
         return template(spec)
-    if os.path.exists(spec):
-        return custom_template(spec)
-    raise ValueError(f"unknown scheme {spec!r} (not a template, not a file)")
+    raise ValueError(f"unknown scheme {spec!r} (not a template, not @file)")
 
 
 def _boundary_family(spec: str):

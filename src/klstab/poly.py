@@ -18,6 +18,7 @@ from .errors import NonConvergence
 
 ROOT_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
+ROUCHE_SAMPLES = 512
 _STEP_TOL = 1e-13
 
 
@@ -180,15 +181,11 @@ def find_roots(p: ComplexPolynomial) -> RootSet:
     return RootSet(roots=tuple(roots[0]), residual=float(resid[0]))
 
 
-def min_modulus_on_circle(
-    p: ComplexPolynomial, center: complex, radius: float, n_samples: int = 512
-) -> float:
-    """min |p| over n_samples equispaced points of the circle |x − center| = radius."""
-    if n_samples < 64:
-        raise ValueError("n_samples must be >= 64")
+def min_modulus_on_circle(p: ComplexPolynomial, center: complex, radius: float) -> float:
+    """min |p| at ROUCHE_SAMPLES equispaced points of |x − center| = radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, ROUCHE_SAMPLES, endpoint=False)
     pts = center + radius * np.exp(1j * thetas)
     vals = _horner_many(np.array([p.coefficients], dtype=complex), pts[None, :])
     return float(np.min(np.abs(vals)))

@@ -153,12 +153,17 @@ def hersh_split(
 
 @dataclass(frozen=True)
 class SchemeTemplate:
-    """Named family of schemes parameterized by the CFL number."""
+    """Named family of schemes parameterized by a finite, positive CFL number.
+
+    Any other lambda, or one whose coefficients overflow, raises ValueError.
+    """
 
     name: str
     builder: Callable[[float], Scheme]
 
     def __call__(self, lam: float) -> Scheme:
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lambda must be finite and positive (got {lam!r})")
         try:
             return self.builder(lam)
         except OverflowError as exc:
@@ -166,8 +171,6 @@ class SchemeTemplate:
 
 
 def _upwind(lam: float) -> Scheme:
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     return Scheme(r=1, p=0, coeffs={-1: lam, 0: 1.0 - lam}, lam=lam)
 
 
@@ -176,8 +179,6 @@ def _naive_average(lam: float) -> Scheme:
 
 
 def _o3(lam: float) -> Scheme:
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     coeffs = {
         -2: lam**3 / 6 - lam / 6,
         -1: lam + lam**2 / 2 - lam**3 / 2,
@@ -188,8 +189,6 @@ def _o3(lam: float) -> Scheme:
 
 
 def _lw5(lam: float) -> Scheme:
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     coeffs = {
         -3: lam * (lam - 2) * (lam - 1) * (lam + 1) * (lam + 2) / 120,
         -2: -lam * (lam - 1) * (lam - 3) * (lam + 1) * (lam + 2) / 24,

@@ -88,10 +88,11 @@ class SweepGrid:
 
 def _build_boundary(spec, scheme) -> BoundaryCondition:
     if isinstance(spec, BoundaryCondition):
+        spec.validate(scheme)
         return spec
     if isinstance(spec, ReconstructionSpec):
         return BoundaryCondition.from_reconstruction(spec, scheme)
-    return BoundaryCondition.from_matrix(np.asarray(spec, dtype=float), scheme)
+    return BoundaryCondition.from_matrix(spec, scheme)
 
 
 def check(
@@ -108,10 +109,11 @@ def check(
     ORIGIN_RESOLUTION of 0, or one too large for the refinement predicate,
     which ends refinement at once and whose theta and |D| the ``error``
     diagnostic names, or refinement ended with the curve still uncertified.
-    invalid_precondition covers bad lambda (non-positive, or one whose
-    coefficients overflow or are not finite) or n_init, Cauchy failures,
-    r = 0, a ghost matrix that is not finite, and selection breakdowns
-    (diagnostics say which).
+    invalid_precondition covers a lambda the template rejects (not finite and
+    positive, or with coefficients that overflow or are not finite), bad n_init,
+    Cauchy failures, r = 0, a ghost matrix not r x m or not finite, a prebuilt
+    BoundaryCondition that does not fit the scheme at lam, and selection
+    breakdowns (diagnostics say which).
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 
@@ -129,8 +131,6 @@ def _check(
     def stop(status: str, error: str, curve: KLCurve | None = None):
         return StabilityVerdict(None, None, status, lam, **diag, error=error), curve
 
-    if lam <= 0:
-        return stop(STATUS_INVALID, "lambda must be positive")
     try:
         n_init = operator.index(n_init)
     except TypeError:

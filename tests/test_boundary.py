@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,18 @@ def test_boundary_condition_validate_detects_drift():
     tampered = BoundaryCondition(m=bc.m, B=bc.B, calB=bc.calB + 1e-3)
     with pytest.raises(ValueError):
         tampered.validate(s)
+
+
+def test_boundary_condition_validate_rejects_an_overflowing_difference():
+    # built at 0.5, where a_{-2} = -0.0625, and rebuilt at 2, where it is 1:
+    # the stored and rebuilt calB differ by more than the largest float
+    B = np.zeros((2, 3))
+    B[0, 0] = 1.7e308
+    bc = BoundaryCondition.from_matrix(B, template("o3")(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="deviates from rebuild by inf"):
+            bc.validate(template("o3")(2.0))
 
 
 def test_parse_boundary_text_reconstruction():

@@ -85,6 +85,22 @@ def test_sweep_with_unbuildable_last_lambda(tmp_path, capsys):
     assert lines[2].endswith(",,,invalid_precondition")
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1"])
+def test_custom_scheme_lambda_not_finite_and_positive(lam, tmp_path, capsys):
+    # the custom coefficients do not depend on lambda; the template rejects it
+    spath = tmp_path / "naive.scm"
+    spath.write_text("1 1 0.5 0.0 0.5\n")
+    common = ["--scheme", f"@{spath}", "--boundary", "R3,0", "--lambda", lam]
+    code, out, err = run_cli(["check", *common], capsys)
+    assert (code, err) == (0, "")
+    assert out.strip() == "status=invalid_precondition winding=na zeros=na"
+    code, out, err = run_cli(
+        ["simulate", *common, "--grid-size", "20", "--steps", "5"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: lambda must be finite and positive (got {float(lam)!r})\n"
+
+
 def test_check_marginal_exit_zero(tmp_path, capsys):
     bpath = tmp_path / "naive.bnd"
     bpath.write_text("matrix 1 2\n0.5 0.5\n")

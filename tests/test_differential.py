@@ -3,6 +3,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from klstab.boundary import ReconstructionSpec
+from klstab.scheme import template
+from klstab.verdict import sweep
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "differential.py"
 _SPEC = importlib.util.spec_from_file_location("differential", _PATH)
 differential = importlib.util.module_from_spec(_SPEC)
@@ -11,7 +17,14 @@ _SPEC.loader.exec_module(differential)
 
 def _record(inputs):
     checks = [differential.run_check(inp) for inp in inputs]
-    data = {"inputs": inputs, "checks": checks, "maps": {"m": "lambda\n"}}
+    grid = sweep(template("o3"), lambda s: ReconstructionSpec(3, 0, s), [0.4], [-0.4])
+    cells = [differential.verdict_fields(v) for v in grid.results[0]]
+    data = {
+        "inputs": inputs,
+        "checks": checks,
+        "maps": {"m": "lambda\n"},
+        "map_cells": {"m": cells},
+    }
     return json.loads(json.dumps(data))
 
 
@@ -31,3 +44,25 @@ def test_differential_records_of_one_checkout_agree(tmp_path):
     counts, _, _ = differential.differences(a, changed)
     assert (counts["status"], counts["map m"]) == (1, 1)
     assert differential.compare(a, changed)[1]
+
+
+@pytest.mark.parametrize(
+    "field, value, fails",
+    [
+        (("diagnostics", "min_curve_distance"), 0.25, False),
+        (("status",), "marginal", True),
+    ],
+)
+def test_differential_compares_map_cells_as_verdicts(field, value, fails):
+    # a map cell's diagnostic that changes is counted but does not fail
+    # compare; its status, winding or zeros does, as a check's would
+    a = _record(differential.check_inputs(1))
+    changed = copy.deepcopy(a)
+    target = changed["map_cells"]["m"][0]
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    counts, _, _ = differential.differences(a, changed)
+    name = "cell " + ("diagnostic " if len(field) > 1 else "") + field[-1]
+    assert counts[name] == 1 and sum(counts.values()) == 1
+    assert differential.compare(a, changed)[1] is fails

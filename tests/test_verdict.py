@@ -10,10 +10,16 @@ import klstab.kldet
 import klstab.scheme
 import klstab.verdict
 import klstab.winding
-from klstab.boundary import ReconstructionSpec
+from klstab.boundary import BoundaryCondition, ReconstructionSpec
 from klstab.errors import EmptyGrid
 from klstab.kldet import delta, kl_curve
-from klstab.scheme import Scheme, SchemeTemplate, template
+from klstab.scheme import (
+    Scheme,
+    SchemeTemplate,
+    custom_template,
+    parse_scheme_line,
+    template,
+)
 from klstab.verdict import (
     STATUS_INVALID,
     STATUS_MARGINAL,
@@ -150,26 +156,52 @@ def test_verdict_is_slotted_and_diagnostics_keep_their_keys(
     assert list(v.diagnostics) == list(diagnostics)
 
 
+BAD_LAMBDAS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+
+
 @st.composite
 def check_inputs(draw):
-    """A template, lambda in [0.01, 2], and an R<d>,<k_d> spec or a random B."""
-    name = draw(st.sampled_from(["upwind", "o3", "lw5"]))
-    tmpl = template(name)
-    lam = draw(st.floats(0.01, 2.0))
-    if draw(st.booleans()):
+    """A template, a lambda, and a boundary spec, ghost matrix or prebuilt boundary.
+
+    Templates are the built-ins and a Cauchy-stable custom upwind with fixed
+    coefficients; lambda is in [0.01, 2] or one of BAD_LAMBDAS.  Ghost
+    matrices are mostly r x m, also of rank 0 or 1 or with a wrong row count;
+    a prebuilt boundary is built at a lambda drawn on its own.
+    """
+    name = draw(st.sampled_from(["upwind", "naive_average", "o3", "lw5", "custom"]))
+    if name == "custom":
+        c = draw(st.floats(0.0, 1.0, exclude_min=True))
+        line = f"1 0 {c!r} {1.0 - c!r}"
+        tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
+    else:
+        tmpl = template(name)
+    lam = draw(st.one_of(st.floats(0.01, 2.0), st.sampled_from(BAD_LAMBDAS)))
+    kind = draw(st.sampled_from(["spec", "matrix", "prebuilt"]))
+    if kind == "spec":
         d = draw(st.integers(2, 6))
         k_d = draw(st.integers(-1, d - 2))
-        sigma = draw(st.floats(-0.5, 0.5, exclude_max=True))
+        sigma = draw(
+            st.one_of(
+                st.floats(-0.5, 0.5, exclude_max=True),
+                st.sampled_from([-0.5, np.nextafter(0.5, 0)]),
+            )
+        )
         return tmpl, ReconstructionSpec(d, k_d, sigma), lam
-    s = tmpl(lam)
+    s = tmpl(0.5)  # stencil widths do not depend on lambda
     width = draw(st.integers(s.r + s.p, s.r + s.p + 3))
+    if kind == "prebuilt":
+        B = draw(arrays(float, (s.r, width), elements=st.floats(-2.0, 2.0)))
+        other = tmpl(draw(st.floats(0.01, 2.0)))
+        return tmpl, BoundaryCondition.from_matrix(B, other), lam
+    rows = draw(st.sampled_from([s.r, s.r, s.r, s.r - 1, s.r + 1]))
+    shape = draw(st.sampled_from([(rows, width), (rows, width), (width,), ()]))
     # mostly moderate entries, also huge ones and values that are not finite
     entries = st.one_of(
         st.floats(-2.0, 2.0),
         st.floats(-1e300, 1e300),
         st.sampled_from([np.nan, np.inf, -np.inf]),
     )
-    B = draw(arrays(float, (s.r, width), elements=entries))
+    B = draw(arrays(float, shape, elements=entries))
     return tmpl, B, lam
 
 
@@ -181,6 +213,8 @@ def test_check_never_raises_or_warns(inputs):
         warnings.simplefilter("error")
         v = check(tmpl, spec, lam)
     assert v.status in (STATUS_STABLE, STATUS_UNSTABLE, STATUS_MARGINAL, STATUS_INVALID)
+    if not 0 < lam < np.inf:
+        assert v.status == STATUS_INVALID
     if v.certified:
         assert v.unstable_zeros == tmpl(lam).r - v.winding >= 0
 
@@ -205,6 +239,64 @@ def test_certified_verdict_holds_at_doubled_resolution(inputs):
 def test_nonpositive_lambda_is_invalid():
     v = check(template("o3"), ReconstructionSpec(3, 0, -0.4), 0.0)
     assert v.status == STATUS_INVALID
+
+
+@pytest.mark.parametrize("lam", BAD_LAMBDAS)
+@pytest.mark.parametrize("kind", ["naive_average", "custom"])
+def test_lambda_not_finite_and_positive_is_invalid_in_check_and_sweep(
+    kind, lam, tmp_path
+):
+    # naive_average and custom schemes have coefficients that do not depend
+    # on lambda, so only the template's own test can reject it
+    if kind == "custom":
+        path = tmp_path / "naive.scm"
+        path.write_text("1 1 0.5 0.0 0.5\n")
+        tmpl = custom_template(str(path))
+    else:
+        tmpl = template(kind)
+    error = "scheme construction failed: lambda must be finite and positive"
+    error += f" (got {lam!r})"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(tmpl, ReconstructionSpec(3, 0, 0.1), lam)
+        grid = sweep(tmpl, lambda s: ReconstructionSpec(3, 0, s), [lam], [0.1])
+    cell = grid.results[0][0]
+    assert (v.status, v.error) == (cell.status, cell.error) == (STATUS_INVALID, error)
+    assert grid.r == 0
+
+
+def test_prebuilt_boundary_must_fit_its_scheme():
+    # a boundary built at another lambda or for another template is judged
+    # against the scheme it is checked on; one that fits checks as its spec
+    o3, spec = template("o3"), ReconstructionSpec(3, 0, -0.4)
+    at_half = BoundaryCondition.from_reconstruction(spec, o3(0.5))
+    v = check(o3, at_half, 0.9)
+    assert v.status == STATUS_INVALID
+    assert v.error == "ValueError: stored calB deviates from rebuild by 2.420e+00"
+    upwind_bc = BoundaryCondition.from_reconstruction(spec, template("upwind")(0.5))
+    v = check(o3, upwind_bc, 0.5)
+    assert v.status == STATUS_INVALID
+    assert v.error.startswith("ShapeMismatch: B must be r x m with r=2")
+    for lam in (0.4, 0.9):
+        fits = BoundaryCondition.from_reconstruction(spec, o3(lam))
+        assert check(o3, fits, lam) == check(o3, spec, lam)
+
+
+@pytest.mark.parametrize(
+    "name, B",
+    [
+        ("upwind", [0.5, 0.5]),
+        ("upwind", np.array(0.5)),
+        ("o3", np.zeros(3)),
+        ("o3", None),
+    ],
+)
+def test_ghost_matrix_of_rank_below_two_is_invalid(name, B):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(template(name), B, 0.5)
+    assert v.status == STATUS_INVALID
+    assert v.error.startswith("ShapeMismatch: B must be r x m")
 
 
 def test_small_n_init_is_invalid_in_check_and_sweep():

@@ -20,15 +20,17 @@ first row refines several cells on one shared scheme, and an o3 R3,0 4x4 over
 lambda 0.9..1.2, whose integer-CFL row and two Cauchy-invalid rows each read
 one Cauchy report that all the row's cells share.  The JSON it writes
 holds, per input, the status, winding, zeros, every diagnostic and the traced
-curve (thetas, values, depths), and the CSV text of each map.  A check that
-raises is recorded with status ``raised <ExceptionType>`` and the message as
-its error.
+curve (thetas, values, depths); per map, its CSV text and, row-major, each
+cell's status, winding, zeros and diagnostics, recorded as a check's are.  A
+check that raises is recorded with status ``raised <ExceptionType>`` and the
+message as its error.
 
-``compare`` prints how many values differ in each field, the largest relative
-difference of the curve values and of each numeric diagnostic, and whether
-the map CSVs are byte-identical.  It exits 1 on any verdict (status, winding,
-zeros), sample-set (curve presence, thetas, depths) or CSV difference, and
-when the two records were made from different inputs.
+``compare`` prints how many values differ in each field (a map cell's fields
+prefixed ``cell``), the largest relative difference of the curve values and of
+each numeric diagnostic, and whether the map CSVs are byte-identical.  It
+exits 1 on any verdict (status, winding, zeros, of a check or a map cell),
+sample-set (curve presence, thetas, depths) or CSV difference, and when the
+two records were made from different inputs.
 """
 
 from __future__ import annotations
@@ -73,8 +75,12 @@ MAPS = {
     "lw5 R5,0 8x8 from 0.02": ("lw5", 5, 0, (0.02, 1.0, 8), (-0.49, 0.49, 8)),
     "o3 R3,0 4x4 over 0.9..1.2": ("o3", 3, 0, (0.9, 1.2, 4), (-0.49, 0.49, 4)),
 }
-# Fields whose difference, like any map's, makes ``compare`` fail.
-FATAL = ("status", "winding", "zeros", "curve presence", "curve thetas", "curve depths")
+VERDICT = ("status", "winding", "zeros")
+CELL = "cell "  # prefix of a map cell's fields in the counts
+# Fields whose difference, like any map CSV's, makes ``compare`` fail.
+FATAL = VERDICT + tuple(CELL + f for f in VERDICT) + (
+    "curve presence", "curve thetas", "curve depths",
+)
 
 
 def check_inputs(count: int) -> list[dict]:
@@ -104,6 +110,16 @@ def check_inputs(count: int) -> list[dict]:
     return out
 
 
+def verdict_fields(verdict) -> dict:
+    """Status, winding, zeros and diagnostics of one verdict, JSON-ready."""
+    return {
+        "status": verdict.status,
+        "winding": verdict.winding,
+        "zeros": verdict.unstable_zeros,
+        "diagnostics": verdict.diagnostics,
+    }
+
+
 def run_check(inp: dict) -> dict:
     """The verdict, diagnostics and curve of one input, as JSON-ready values."""
     from klstab.boundary import ReconstructionSpec
@@ -127,11 +143,7 @@ def run_check(inp: dict) -> dict:
             "diagnostics": {"error": str(exc)},
             "curve": None,
         }
-    return {
-        "status": verdict.status,
-        "winding": verdict.winding,
-        "zeros": verdict.unstable_zeros,
-        "diagnostics": verdict.diagnostics,
+    return verdict_fields(verdict) | {
         "curve": None
         if curve is None
         else {
@@ -143,13 +155,13 @@ def run_check(inp: dict) -> dict:
     }
 
 
-def record_maps() -> dict[str, str]:
-    """CSV text of each sweep in MAPS."""
+def record_maps() -> tuple[dict[str, str], dict[str, list[dict]]]:
+    """CSV text of each sweep in MAPS, and its cells' verdict fields, row-major."""
     from klstab.boundary import ReconstructionSpec
     from klstab.scheme import template
     from klstab.verdict import sweep, write_map_csv
 
-    out = {}
+    csvs, cells = {}, {}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         path = os.path.join(tmp, "map.csv")
@@ -162,17 +174,16 @@ def record_maps() -> dict[str, str]:
             )
             write_map_csv(grid, path)
             with open(path, encoding="utf-8") as fh:
-                out[key] = fh.read()
-    return out
+                csvs[key] = fh.read()
+            cells[key] = [verdict_fields(v) for row in grid.results for v in row]
+    return csvs, cells
 
 
 def record() -> dict:
     inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES + OVERFLOW
-    return {
-        "inputs": inputs,
-        "checks": [run_check(inp) for inp in inputs],
-        "maps": record_maps(),
-    }
+    checks = [run_check(inp) for inp in inputs]
+    csvs, cells = record_maps()
+    return {"inputs": inputs, "checks": checks, "maps": csvs, "map_cells": cells}
 
 
 def _rel(a: float, b: float) -> float:
@@ -181,13 +192,29 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _count_verdict(ca, cb, prefix, counts, rel, mirrored) -> None:
+    """Count the verdict fields and diagnostics of one check or map cell."""
+    for field in VERDICT:
+        counts[prefix + field] += ca[field] != cb[field]
+    da, db = ca["diagnostics"], cb["diagnostics"]
+    for key in sorted(set(da) | set(db)):
+        va, vb = da.get(key), db.get(key)
+        name = f"{prefix}diagnostic {key}"
+        counts[name] += va != vb
+        if isinstance(va, float) and isinstance(vb, float):
+            rel[name] = max(rel.get(name, 0.0), _rel(va, vb))
+            if va != vb and math.isclose(va, 2.0 * math.pi - vb, abs_tol=1e-12):
+                mirrored[name] += 1
+
+
 def differences(a: dict, b: dict) -> tuple[Counter, dict[str, float], Counter]:
     """Per field: how many values differ, and the largest relative difference.
 
     The third result counts, per numeric diagnostic, the differences where one
     value is 2 pi minus the other (a mirrored ``cauchy_xi_worst``).  Curve
     values are compared sample by sample as |va - vb| / max(|va|, |vb|), and
-    only where both sample sets are equal.
+    only where both sample sets are equal.  Map cells are counted as checks
+    are, under their own field names.
     """
     if a["inputs"] != b["inputs"]:
         raise ValueError("the records were made from different inputs")
@@ -195,17 +222,7 @@ def differences(a: dict, b: dict) -> tuple[Counter, dict[str, float], Counter]:
     mirrored: Counter = Counter()
     rel: dict[str, float] = {}
     for ca, cb in zip(a["checks"], b["checks"]):
-        for field in ("status", "winding", "zeros"):
-            counts[field] += ca[field] != cb[field]
-        da, db = ca["diagnostics"], cb["diagnostics"]
-        for key in sorted(set(da) | set(db)):
-            va, vb = da.get(key), db.get(key)
-            name = f"diagnostic {key}"
-            counts[name] += va != vb
-            if isinstance(va, float) and isinstance(vb, float):
-                rel[name] = max(rel.get(name, 0.0), _rel(va, vb))
-                if va != vb and math.isclose(va, 2.0 * math.pi - vb, abs_tol=1e-12):
-                    mirrored[name] += 1
+        _count_verdict(ca, cb, "", counts, rel, mirrored)
         qa, qb = ca["curve"], cb["curve"]
         counts["curve presence"] += (qa is None) != (qb is None)
         if qa is None or qb is None:
@@ -222,6 +239,8 @@ def differences(a: dict, b: dict) -> tuple[Counter, dict[str, float], Counter]:
         rel["curve values"] = max(rel.get("curve values", 0.0), float(np.max(diff)))
     for key in sorted(set(a["maps"]) | set(b["maps"])):
         counts[f"map {key}"] += a["maps"].get(key) != b["maps"].get(key)
+        for ca, cb in zip(a["map_cells"].get(key, ()), b["map_cells"].get(key, ())):
+            _count_verdict(ca, cb, CELL, counts, rel, mirrored)
     return counts, rel, mirrored
 
 
