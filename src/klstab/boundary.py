@@ -134,7 +134,7 @@ class BoundaryCondition:
     calB: np.ndarray
 
     def __post_init__(self):
-        if self.B.shape[1] != self.m or self.calB.shape != self.B.shape:
+        if self.B.shape[1:] != (self.m,) or self.calB.shape != self.B.shape:
             raise ShapeMismatch(
                 f"B {self.B.shape} and calB {self.calB.shape} must be r x {self.m}"
             )

@@ -46,8 +46,8 @@ from .errors import (
     SelectionFailure,
     ShapeMismatch,
 )
-from .poly import ComplexPolynomial, find_roots_many, min_modulus_on_circle
-from .scheme import TOL_UNIT, Scheme
+from .poly import find_roots_many, min_modulus_on_circle
+from .scheme import TOL_UNIT, Scheme, characteristic_polynomial
 from .winding import MAX_MODULUS, needs_refinement
 
 CLUSTER_TOL = 1e-7
@@ -169,18 +169,14 @@ def _select(s, z, roots):
     tags: list[str] = []
     for idx in _cluster_indices(roots):
         mods = moduli[idx]
-        single = len(idx) == 1
         # A multi-root cluster hugging the circle may be a split multiple root
         # whose true location is on it; only clearly-separated clusters classify
         # by side, the rest go through the perturbation count.
-        if np.max(mods) < 1.0 - TOL_UNIT and (
-            single or np.max(mods) < 1.0 - CLUSTER_TOL
-        ):
+        band = TOL_UNIT if len(idx) == 1 else CLUSTER_TOL
+        if np.max(mods) < 1.0 - band:
             chosen.extend(roots[i] for i in idx)
             tags.extend([STRICT_INSIDE] * len(idx))
-        elif np.min(mods) > 1.0 + TOL_UNIT and (
-            single or np.min(mods) > 1.0 + CLUSTER_TOL
-        ):
+        elif np.min(mods) > 1.0 + band:
             continue
         else:
             count = _roots_from_inside(s, z, roots, idx)
@@ -211,7 +207,7 @@ def _roots_from_inside(s, z, roots, cluster_idx) -> int:
         raise SelectionFailure(
             f"cannot isolate boundary cluster at {center}: radius {eps} vs spread {spread}"
         )
-    p_z = ComplexPolynomial(_char_rows(s, np.array([z]))[0])
+    p_z = characteristic_polynomial(s, z)
     eta = (1.0 + eps) ** (-s.r) * min_modulus_on_circle(p_z, center, eps)
     if eta == 0.0:
         raise BoundaryAmbiguity(
@@ -312,19 +308,12 @@ def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     return complex(num / den)
 
 
-def _trim_batch(rows: np.ndarray, r: int) -> np.ndarray:
-    """Drop exactly-zero leading columns shared by the whole batch (never below r)."""
-    top = rows.shape[1] - 1
-    while top > r and np.all(rows[:, top] == 0):
-        top -= 1
-    return rows[:, : top + 1]
-
-
 def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
-    """Ascending coefficient rows of P_z, one per z, trimmed together."""
+    """Ascending rows of P_z, one per z; zero top columns they share (lw5's a_p
+    at integer lambda) are roots at infinity, which ``find_roots_many`` drops."""
     rows = np.tile(s.char_row, (len(zs), 1))
     rows[:, s.r] -= zs
-    return _trim_batch(rows, s.r)
+    return rows
 
 
 def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
@@ -386,16 +375,16 @@ def kl_curve(
     The n_init initial thetas are equispaced from 0; the z of each theta above
     pi is the exact conjugate of the z of 2 pi - theta, so the two share one
     solve of the scheme side.  The grid is kept read-only per n_init, and its
-    sigma(z) rows per Scheme instance in ``s.grid_sigmas[n_init]``.  Bisection of an
-    arc stops once the winding predicate accepts the segment or the arc has
-    been halved ``max_depth`` times; the curve is ``certified`` when that
-    last predicate pass flagged no segment.  A sample within
+    sigma(z) rows per Scheme instance in ``s.grid_sigmas[n_init]``.  Bisection
+    of an arc stops once the winding predicate accepts the segment or the arc
+    has been halved ``max_depth`` times; the curve is ``certified`` when that
+    last predicate pass flagged no segment.  A sample above MAX_MODULUS, or
+    not finite, is beyond what the predicate can judge; a sample within
     ORIGIN_RESOLUTION of the origin puts 0 numerically on the curve: both its
-    segments stay flagged in every round (PROXIMITY_FLOOR is larger).  A
-    sample above MAX_MODULUS, or not finite, is beyond what the predicate can
-    judge.  So each round checks for either first and raises
-    RefinementExhausted with its theta and |Delta|; verdict layers report that
-    as marginal.
+    segments stay flagged in every round (PROXIMITY_FLOOR is larger).  So each
+    round checks first for the scale, then for the origin, and raises
+    RefinementExhausted with that sample's theta and |Delta|; verdict layers
+    report that as marginal.
     """
     if n_init < MIN_INIT_SAMPLES:
         raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
@@ -409,17 +398,17 @@ def kl_curve(
 
     while True:
         mods = np.abs(values)
-        near = int(np.argmin(mods))
-        if mods[near] < ORIGIN_RESOLUTION:
-            raise RefinementExhausted(
-                f"|D| = {mods[near]:.3g} below {ORIGIN_RESOLUTION} "
-                f"at theta = {thetas[near]:.17g}"
-            )
         far = np.flatnonzero(~(mods <= MAX_MODULUS))
         if len(far):
             raise RefinementExhausted(
                 f"|D| = {mods[far[0]]:.3g} not below {MAX_MODULUS:.3g} "
                 f"at theta = {thetas[far[0]]:.17g}"
+            )
+        near = int(np.argmin(mods))
+        if mods[near] < ORIGIN_RESOLUTION:
+            raise RefinementExhausted(
+                f"|D| = {mods[near]:.3g} below {ORIGIN_RESOLUTION} "
+                f"at theta = {thetas[near]:.17g}"
             )
         # segment i runs from sample i to sample i + 1, the last one back to 0
         flags = needs_refinement(values, np.concatenate((values[1:], values[:1])))

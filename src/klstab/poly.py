@@ -3,9 +3,9 @@
 Roots are found by Aberth-Ehrlich simultaneous iteration.  Initial radii come
 from the Newton-diagram diagonal (adjacent coefficient ratios clipped to the
 Cauchy root bounds), so polynomials whose root magnitudes span many orders
-still converge within the sweep budget.  Exact zero roots (a run of zero
-low-order coefficients) are deflated analytically.  A batched variant solves
-many same-degree polynomials at once; the scalar entry point delegates to it.
+still converge within the sweep budget.  Roots at 0 and at infinity (runs of
+zero low- or high-order coefficients) are split off exactly.  A batched
+variant solves many same-degree polynomials; the scalar entry point delegates.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ ROOT_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
 ROUCHE_SAMPLES = 512
 _STEP_TOL = 1e-13
+_ROUCHE_CIRCLE = np.exp(np.linspace(0.0, 2j * np.pi, ROUCHE_SAMPLES, endpoint=False))
+_ROUCHE_CIRCLE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -98,12 +100,15 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Parameters
     ----------
-    coeff_rows : (n, d+1) complex array, ascending degree, nonzero last column.
+    coeff_rows : (n, d+1) complex array, ascending degree.
 
-    Each row iterates until its own Aberth step falls below _STEP_TOL, so a
-    row's roots depend only on its coefficients, bit for bit, whatever batch
-    it is solved in.  Raises NonConvergence when a backward-error residual
-    exceeds ROOT_TOL.
+    Columns of zeros shared by the whole batch are exact roots: at the bottom
+    roots at 0, returned as 0, at the top roots at infinity, dropped (d counts
+    what is left).  A row whose own leading coefficient is zero raises
+    ValueError.  Each row iterates until its own Aberth step falls below
+    _STEP_TOL, so a row's roots depend only on its coefficients, bit for bit,
+    whatever batch it is solved in.  Raises NonConvergence when a
+    backward-error residual exceeds ROOT_TOL.
 
     Returns
     -------
@@ -111,6 +116,10 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residuals : (n,) worst normalized residual per row.
     """
     rows = np.asarray(coeff_rows, dtype=complex)
+    top = rows.shape[1]
+    while top > 1 and not np.any(rows[:, top - 1]):
+        top -= 1
+    rows = rows[:, :top]
     n, w = rows.shape
     if w - 1 < 1:
         raise ValueError("degree must be >= 1")
@@ -118,7 +127,6 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(lead == 0):
         raise ValueError("leading coefficient must be nonzero in every row")
 
-    # Exact zero roots (constant columns of zeros) are deflated analytically.
     n_zero = 0
     while n_zero < w - 1 and np.all(rows[:, n_zero] == 0):
         n_zero += 1
@@ -175,8 +183,6 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def find_roots(p: ComplexPolynomial) -> RootSet:
     """All ``degree`` roots of ``p``, deterministic and sorted by (real, imag)."""
-    if p.degree < 1:
-        raise ValueError("degree must be >= 1")
     roots, resid = find_roots_many(np.array([p.coefficients], dtype=complex))
     return RootSet(roots=tuple(roots[0]), residual=float(resid[0]))
 
@@ -185,7 +191,6 @@ def min_modulus_on_circle(p: ComplexPolynomial, center: complex, radius: float) 
     """min |p| at ROUCHE_SAMPLES equispaced points of |x − center| = radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    thetas = np.linspace(0.0, 2.0 * np.pi, ROUCHE_SAMPLES, endpoint=False)
-    pts = center + radius * np.exp(1j * thetas)
+    pts = center + radius * _ROUCHE_CIRCLE
     vals = _horner_many(np.array([p.coefficients], dtype=complex), pts[None, :])
     return float(np.min(np.abs(vals)))

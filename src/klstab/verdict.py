@@ -21,12 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import BoundaryCondition, ReconstructionSpec
-from .errors import (
-    EmptyGrid,
-    KLStabError,
-    OriginOnCurve,
-    RefinementExhausted,
-)
+from .errors import EmptyGrid, KLStabError, RefinementExhausted
 from .kldet import MAX_REFINE_DEPTH, MIN_INIT_SAMPLES, KLCurve, kl_curve
 from .scheme import SchemeTemplate, is_cauchy_stable
 from .winding import winding_number
@@ -104,11 +99,11 @@ def check(
 ) -> StabilityVerdict:
     """Decide stability at one (scheme, boundary, lambda) point.
 
-    status stable/unstable carries a certified winding; marginal means the
-    curve approached the origin below resolution: either a sample lies within
-    ORIGIN_RESOLUTION of 0, or one too large for the refinement predicate,
-    which ends refinement at once and whose theta and |D| the ``error``
-    diagnostic names, or refinement ended with the curve still uncertified.
+    status stable/unstable carries the winding of a certified curve; no other
+    curve is counted.  marginal means the curve approached the origin below
+    resolution: a sample too large for the refinement predicate (tested first)
+    or within ORIGIN_RESOLUTION of 0 ends refinement at once, and the ``error``
+    diagnostic names its theta and |D|; or refinement left the curve uncertified.
     invalid_precondition covers a lambda the template rejects (not finite and
     positive, or with coefficients that overflow or are not finite), bad n_init,
     Cauchy failures, r = 0, a ghost matrix not r x m or not finite, a prebuilt
@@ -160,17 +155,15 @@ def _check(
 
     diag["curve_samples"] = len(curve)
     diag["max_refine_depth"] = int(np.max(curve.depths))
-    try:
-        wres = winding_number(curve.values)
-    except OriginOnCurve as exc:
-        return stop(STATUS_MARGINAL, str(exc), curve)
-    diag["min_curve_distance"] = wres.min_distance
-
+    values = curve.values
+    diag["min_curve_distance"] = float(np.min(np.hypot(values.real, values.imag)))
     if not curve.certified:
         return stop(STATUS_MARGINAL, "curve not certifiable away from the origin", curve)
-    zeros = scheme.r - wres.index
+    # no segment of a certified curve is flagged, so none meets the origin
+    index = winding_number(values).index
+    zeros = scheme.r - index
     status = STATUS_STABLE if zeros == 0 else STATUS_UNSTABLE
-    return StabilityVerdict(wres.index, zeros, status, lam, **diag), curve
+    return StabilityVerdict(index, zeros, status, lam, **diag), curve
 
 
 def sweep(
@@ -294,5 +287,6 @@ def write_map_svg(grid: SweepGrid, path: str) -> None:
 def filter_lambda_grid(
     values: Sequence[float], lambda_min: float = DEFAULT_LAMBDA_MIN
 ) -> list[float]:
-    """Drop the left band [0, lambda_min) where tiny time steps defeat the arithmetic."""
-    return [v for v in values if v >= lambda_min]
+    """Drop the left band [0, lambda_min) where tiny time steps defeat the
+    arithmetic; a nan is kept, for its cell to report."""
+    return [v for v in values if not v < lambda_min]

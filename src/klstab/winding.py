@@ -5,8 +5,10 @@ contributes its signed quadrant-boundary crossing count (0, +-1, or +-2 with
 the half-plane cross-product sign test deciding the ambiguous opposite-quadrant
 case).  The total is 4x the winding number of the sample polygon, with no
 floating-point argument accumulation to drift.  Both the count and the
-refinement predicate work on whole arrays of segments at once.  The count
-certifies nothing: ``kldet`` certifies a curve by the predicate, as it refines.
+refinement predicate work on whole arrays of segments at once; the predicate
+tells a quarter turn by the sign of a dot product, with no angle to round.
+The count certifies nothing: ``kldet`` certifies a curve by the predicate, as
+it refines, and ``verdict`` counts only a certified curve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .errors import OriginOnCurve
 
 ORIGIN_EPS = 1e-300
-QUARTER_TURN = np.pi / 2.0
 PROXIMITY_FLOOR = 1e-12
 PROXIMITY_FRACTION = 0.1
 # samples of modulus below this keep every product the predicate forms finite
@@ -42,18 +43,17 @@ def _quadrant(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def needs_refinement(a, b):
     """True where the segment a -> b cannot be trusted by the quadrant bookkeeping.
 
-    Either the argument change strictly exceeds a quarter turn, or the segment
-    passes within max(1e-12, 0.1 * min(|a|, |b|)) of the origin.  Two scalars
-    give a bool; arrays give a flag array of their broadcast shape.
+    Either the argument change strictly exceeds a quarter turn, which is
+    Re(conj(a) b) < 0 and needs no angle, or the segment passes within
+    max(1e-12, 0.1 * min(|a|, |b|)) of the origin.  Two scalars give a bool;
+    arrays give a flag array of their broadcast shape.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     with np.errstate(all="ignore"):
         mod_a = np.hypot(a.real, a.imag)
         mod_b = np.hypot(b.real, b.imag)
-        cross = a.real * b.imag - a.imag * b.real
-        dot = a.real * b.real + a.imag * b.imag
-        turn = np.abs(np.arctan2(cross, dot)) > QUARTER_TURN
+        turn = a.real * b.real + a.imag * b.imag < 0.0
         # distance from the origin to the segment; a point segment is its end
         dx, dy = b.real - a.real, b.imag - a.imag
         denom = dx * dx + dy * dy

@@ -231,6 +231,12 @@ def test_build_calB_shape_guards():
         build_calB(np.zeros((2, 2)), s)
 
 
+@pytest.mark.parametrize("B", [np.zeros(2), np.zeros(()), np.zeros((1, 2, 2))])
+def test_boundary_condition_rejects_a_ghost_matrix_that_is_not_2d(B):
+    with pytest.raises(ShapeMismatch):
+        BoundaryCondition(m=2, B=B, calB=B)
+
+
 def test_boundary_condition_from_reconstruction_minimal_m():
     s = template("o3")(0.5)
     bc = BoundaryCondition.from_reconstruction(ReconstructionSpec(3, 0, 0.4), s)

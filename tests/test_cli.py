@@ -85,6 +85,31 @@ def test_sweep_with_unbuildable_last_lambda(tmp_path, capsys):
     assert lines[2].endswith(",,,invalid_precondition")
 
 
+def test_sweep_reports_a_nan_lambda_in_its_cell(tmp_path, capsys):
+    # nan is not below lambda-min: it reaches the template, which rejects it
+    out_path = tmp_path / "map.csv"
+    code, _, err = run_cli(
+        ["sweep", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "nan",
+         "--samples", "64", "--out", str(out_path)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    lines = out_path.read_text().strip().splitlines()
+    assert lines[1:] == ["nan,0,,,invalid_precondition"]
+
+
+@pytest.mark.parametrize("lam", ["nan:1:3", "0.1:nan:3", "nan:nan:2"])
+def test_sweep_rejects_a_lambda_range_with_a_nan_end(lam, tmp_path, capsys):
+    code, _, err = run_cli(
+        ["sweep", "--scheme", "o3", "--boundary", "R3,0", f"--lambda={lam}",
+         "--samples", "64", "--out", str(tmp_path / "map.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert err == "error: lambda range needs count >= 1 and start < end\n"
+    assert not (tmp_path / "map.csv").exists()
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1"])
 def test_custom_scheme_lambda_not_finite_and_positive(lam, tmp_path, capsys):
     # the custom coefficients do not depend on lambda; the template rejects it

@@ -37,6 +37,22 @@ def test_triple_root_at_origin():
     assert rs.residual == 0.0
 
 
+def test_find_roots_many_drops_shared_zero_top_columns():
+    # (x - 1)(x - 2) and (x - 2)(x - 3), each with a root at 0 and two at
+    # infinity: the zero columns shared by the batch are exact roots
+    rows = np.array([[0, 2, -3, 1, 0, 0], [0, 6, -5, 1, 0, 0]], dtype=complex)
+    roots, resid = find_roots_many(rows)
+    trimmed_roots, trimmed_resid = find_roots_many(rows[:, :4])
+    assert np.array_equal(roots, trimmed_roots)
+    assert np.array_equal(resid, trimmed_resid)
+    assert roots.shape == (2, 3) and np.all(roots[:, 0] == 0)
+    assert np.allclose(roots[:, 1:], [[1, 2], [2, 3]], atol=1e-12)
+    # a row whose own leading coefficient is zero still raises
+    rows[1, 4] = 1.0
+    with pytest.raises(ValueError, match="leading coefficient"):
+        find_roots_many(rows)
+
+
 def test_o3_characteristic_vieta():
     p = characteristic_polynomial(template("o3")(0.4), 2.0)
     rs = find_roots(p)

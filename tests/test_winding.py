@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -103,6 +101,13 @@ def test_needs_refinement_quarter_turn_inclusive():
     assert not needs_refinement(1.0, 1j)
 
 
+def test_needs_refinement_just_past_a_quarter_turn():
+    # the dot product -1e-320 is far below the cross product 1: an angle
+    # rounds this turn to a quarter, the dot product's sign does not
+    assert needs_refinement(1.0, complex(-1e-320, 1.0))
+    assert not needs_refinement(1.0, complex(1e-320, 1.0))
+
+
 def test_needs_refinement_antipodal():
     assert needs_refinement(1.0, -1.0)
 
@@ -133,6 +138,8 @@ PREDICATE_CASES = [
     (2 - 1j, 2 - 1j, False),
     (1e-13, 1e-13, True),
     (0.0, 0.0, True),
+    (1.0, complex(-1e-320, 1.0), True),
+    (1.0, complex(1e-320, 1.0), False),
 ]
 
 
@@ -149,9 +156,7 @@ def reference_needs_refinement(a: complex, b: complex) -> bool:
     """Loop form of the predicate, one segment at a time in Python floats."""
     if abs(a) == 0.0 or abs(b) == 0.0:
         return True
-    cross = a.real * b.imag - a.imag * b.real
-    dot = a.real * b.real + a.imag * b.imag
-    if abs(math.atan2(cross, dot)) > math.pi / 2.0:
+    if a.real * b.real + a.imag * b.imag < 0.0:  # past a quarter turn
         return True
     dx, dy = b.real - a.real, b.imag - a.imag
     denom = dx * dx + dy * dy

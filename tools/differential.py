@@ -6,24 +6,27 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B.  Then come three fixed lists:
+R<d>,<k_d> or random ghost matrices B.  Then come four fixed lists:
 EXTRAPOLATION, the three pure-extrapolation checks (upwind R3,-1, o3 and lw5
 R2,-1), whose curves touch the origin at z = 1 and end marginal; ODD_SAMPLES,
 o3 at lambda = 1 and lw5, traced from 255 initial samples, so that no sample
-sits at z = -1; and OVERFLOW, ghost matrices whose entries are not finite
+sits at z = -1; OVERFLOW, ghost matrices whose entries are not finite
 (invalid_precondition) or so large that the curve's values are beyond the
-refinement predicate (marginal).  OVERFLOW keeps its entries as strings,
-because a JSON NaN never equals itself.  An input traces N_INIT initial
-samples unless it names its own ``n_init``.  It then runs the sweeps of MAPS:
-o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from lambda 0.02, whose
-first row refines several cells on one shared scheme, and an o3 R3,0 4x4 over
-lambda 0.9..1.2, whose integer-CFL row and two Cauchy-invalid rows each read
-one Cauchy report that all the row's cells share.  The JSON it writes
-holds, per input, the status, winding, zeros, every diagnostic and the traced
-curve (thetas, values, depths); per map, its CSV text and, row-major, each
-cell's status, winding, zeros and diagnostics, recorded as a check's are.  A
-check that raises is recorded with status ``raised <ExceptionType>`` and the
-message as its error.
+refinement predicate (marginal), kept as strings, because a JSON NaN never
+equals itself; and DEGENERATE, lw5 R5,0 at lambda 2 and 3 and o3 R3,0 at
+lambda 2, sigma 0.1, where coefficients at the ends of P_z vanish: exactly
+for lw5 (a_p, and a_{-3} at lambda 2), roots at infinity and at 0 that the
+root finder splits off, and up to a 1.1e-16 residue for o3's a_1.  An input
+traces N_INIT initial samples unless it names its own ``n_init``.  It then
+runs the sweeps of MAPS: o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from
+lambda 0.02, whose first row refines several cells on one shared scheme, and
+an o3 R3,0 4x4 over lambda 0.9..1.2, whose integer-CFL row and two
+Cauchy-invalid rows each read one Cauchy report that all the row's cells
+share.  The JSON it writes holds, per input, the status, winding, zeros,
+every diagnostic and the traced curve (thetas, values, depths); per map, its
+CSV text and, row-major, each cell's status, winding, zeros and diagnostics,
+recorded as a check's are.  A check that raises is recorded with status
+``raised <ExceptionType>`` and the message as its error.
 
 ``compare`` prints how many values differ in each field (a map cell's fields
 prefixed ``cell``), the largest relative difference of the curve values and of
@@ -67,6 +70,11 @@ OVERFLOW = [
     {"scheme": "o3", "lam": 0.5, "B": [["1e200"] * 3] * 2},
     {"scheme": "lw5", "lam": 0.5, "B": [["1e160"] * 5] * 3},
     {"scheme": "lw5", "lam": 0.5, "B": [["1e300"] * 5] * 3},
+]
+DEGENERATE = [
+    {"scheme": "lw5", "lam": 2.0, "recon": [5, 0, 0.1]},
+    {"scheme": "lw5", "lam": 3.0, "recon": [5, 0, 0.1]},
+    {"scheme": "o3", "lam": 2.0, "recon": [3, 0, 0.1]},
 ]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
@@ -180,7 +188,7 @@ def record_maps() -> tuple[dict[str, str], dict[str, list[dict]]]:
 
 
 def record() -> dict:
-    inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES + OVERFLOW
+    inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE
     checks = [run_check(inp) for inp in inputs]
     csvs, cells = record_maps()
     return {"inputs": inputs, "checks": checks, "maps": csvs, "map_cells": cells}
