@@ -44,7 +44,7 @@ def _parse_values(text: str, what: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"{what} range must be start:end:count, got {text!r}")
     start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or not start < end:
+    if count < 1 or not 0 < end - start < np.inf:
         raise ValueError(f"{what} range needs count >= 1 and start < end")
     return list(np.linspace(start, end, count))
 

@@ -2,15 +2,17 @@
 
 A scheme U_j^{n+1} = sum_{k=-r}^{p} a_k U_{j+k}^n is stored with its stencil
 widths (r, p), its coefficient map, and the CFL number it was built at.  The
-built-in templates cover the first-order upwind scheme, the (unstable-in-practice
-but instructive) centered average, the third-order upwind-biased scheme and the
-fifth-order Lax-Wendroff scheme, each as polynomial functions of the CFL number.
+built-in templates are the (unstable-in-practice but instructive) centered
+average and three members of one rule, the degree r+p interpolant of
+U_{j-r..j+p} at x_j - lambda dx: first-order upwind (1, 0), third-order
+upwind-biased o3 (2, 1) and fifth-order Lax-Wendroff lw5 (3, 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite, prod
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,10 +35,9 @@ class Scheme:
     consistency sum(a_k) = 1.  Real coefficients make sigma(conj z) the
     conjugate of sigma(z), which the determinant pipeline relies on.  Extreme
     coefficients are normally nonzero; exact zeros are tolerated and the
-    downstream pipeline handles the degeneracy.  lw5 hits them at integer CFL
-    numbers, where it is the pure shift.  o3 reaches the shift only up to
-    rounding: its a_1 is 5.55e-17 at lambda = 1 and 1.1e-16 at lambda = 2, not
-    0, and each such residue leaves a spurious characteristic root near 1e16.
+    downstream pipeline handles the degeneracy.  The interpolation templates
+    hit them at integer CFL numbers inside their stencils, where they are
+    exactly the shift.
 
     Each instance keeps, from first use, what every boundary traced on it (a
     sweep's lambda row) reads: the ``cauchy`` report; ``build_calB``'s read-only
@@ -170,41 +171,29 @@ class SchemeTemplate:
             raise ValueError(f"coefficients overflow at lambda = {lam!r}") from exc
 
 
-def _upwind(lam: float) -> Scheme:
-    return Scheme(r=1, p=0, coeffs={-1: lam, 0: 1.0 - lam}, lam=lam)
-
-
 def _naive_average(lam: float) -> Scheme:
     return Scheme(r=1, p=1, coeffs={-1: 0.5, 0: 0.0, 1: 0.5}, lam=lam)
 
 
-def _o3(lam: float) -> Scheme:
-    coeffs = {
-        -2: lam**3 / 6 - lam / 6,
-        -1: lam + lam**2 / 2 - lam**3 / 2,
-        0: 1 - lam / 2 - lam**2 + lam**3 / 2,
-        1: lam**2 / 2 - lam**3 / 6 - lam / 3,
-    }
-    return Scheme(r=2, p=1, coeffs=coeffs, lam=lam)
+def _lagrange(r: int, p: int) -> Callable[[float], Scheme]:
+    """Degree r+p interpolant of U_{j-r..j+p} at x_j - lambda dx; at an integer
+    lambda in [-p, r] every factor is exact, so the scheme is exactly the shift."""
+    nodes = range(-r, p + 1)
 
+    def build(lam: float) -> Scheme:
+        a = {k: prod((-lam - j) / (k - j) for j in nodes if j != k) for k in nodes}
+        if not all(map(isfinite, a.values())):
+            raise OverflowError(f"coefficients not finite at lambda = {lam!r}")
+        return Scheme(r=r, p=p, coeffs=a, lam=lam)
 
-def _lw5(lam: float) -> Scheme:
-    coeffs = {
-        -3: lam * (lam - 2) * (lam - 1) * (lam + 1) * (lam + 2) / 120,
-        -2: -lam * (lam - 1) * (lam - 3) * (lam + 1) * (lam + 2) / 24,
-        -1: lam * (lam - 2) * (lam - 3) * (lam + 1) * (lam + 2) / 12,
-        0: 1 - lam * (lam**4 - 3 * lam**3 - 5 * lam**2 + 15 * lam + 4) / 12,
-        1: lam * (lam - 1) * (lam - 2) * (lam - 3) * (lam + 2) / 24,
-        2: -lam * (lam - 1) * (lam - 2) * (lam - 3) * (lam + 1) / 120,
-    }
-    return Scheme(r=3, p=2, coeffs=coeffs, lam=lam)
+    return build
 
 
 TEMPLATES: dict[str, SchemeTemplate] = {
-    "upwind": SchemeTemplate("upwind", _upwind),
+    "upwind": SchemeTemplate("upwind", _lagrange(1, 0)),
     "naive_average": SchemeTemplate("naive_average", _naive_average),
-    "o3": SchemeTemplate("o3", _o3),
-    "lw5": SchemeTemplate("lw5", _lw5),
+    "o3": SchemeTemplate("o3", _lagrange(2, 1)),
+    "lw5": SchemeTemplate("lw5", _lagrange(3, 2)),
 }
 
 

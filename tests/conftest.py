@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ def o3_calB_golden(lam: float) -> np.ndarray:
             [
                 263 * lam**3 / 582 + lam**2 / 2 + 14 * lam / 291,
                 217 * lam**3 / 291 - lam**2 - 217 * lam / 291 + 1,
-                -(lam**3) / 6 + lam**2 / 2 - lam / 3,
+                -lam * (lam - 1) * (lam - 2) / 6,
             ],
         ]
     )
@@ -54,6 +55,47 @@ def brute_roots(coeffs_ascending) -> np.ndarray:
     """Independent root oracle: companion-matrix eigenvalues via numpy."""
     cs = np.trim_zeros(np.asarray(coeffs_ascending, dtype=complex), "b")
     return np.roots(cs[::-1])
+
+
+def mp_delta(s, bc, z) -> complex:
+    """Third oracle: det(z K_top - calB K_full) / det(K_top) in mpmath, 40 digits.
+
+    P_z's exactly-zero end coefficients are trimmed first: low ones are roots
+    at 0, high ones roots at infinity; ``mp.polyroots`` finds the rest.  The r
+    roots inside the unit circle give the basis columns.  A repeated root gets
+    confluent columns C(n, q) kappa^(n-q), which span what basis_matrices'
+    n^q kappa^n span and stay independent at kappa = 0.
+    """
+    with mp.workdps(40):
+        cs = [mp.mpc(a) for a in s.coeff_array()]
+        cs[s.r] -= mp.mpc(z)
+        while cs[-1] == 0:
+            cs.pop()
+        zeros = next(i for i, c in enumerate(cs) if c != 0)
+        roots = [mp.mpc(0)] * zeros
+        if len(cs) - zeros > 1:
+            roots += mp.polyroots(cs[zeros:][::-1], maxsteps=200, extraprec=40)
+        inside = [x for x in roots if abs(x) < 1]
+        assert len(inside) == s.r, f"{len(inside)} roots inside, r = {s.r}"
+        groups: list[list] = []
+        for x in inside:
+            for g in groups:
+                if abs(g[0] - x) < 1e-15:
+                    g.append(x)
+                    break
+            else:
+                groups.append([x])
+        k_full = mp.matrix(bc.m, s.r)
+        col = 0
+        for g in groups:
+            kappa = g[0]
+            for q in range(len(g)):
+                for n in range(q, bc.m):
+                    k_full[n, col] = mp.binomial(n, q) * kappa ** (n - q)
+                col += 1
+        k_top = k_full[: s.r, :]
+        calB = mp.matrix(bc.calB.tolist())
+        return complex(mp.det(mp.mpc(z) * k_top - calB * k_full) / mp.det(k_top))
 
 
 @pytest.fixture

@@ -98,7 +98,10 @@ def test_sweep_reports_a_nan_lambda_in_its_cell(tmp_path, capsys):
     assert lines[1:] == ["nan,0,,,invalid_precondition"]
 
 
-@pytest.mark.parametrize("lam", ["nan:1:3", "0.1:nan:3", "nan:nan:2"])
+@pytest.mark.parametrize(
+    "lam",
+    ["nan:1:3", "0.1:nan:3", "nan:nan:2", "0.5:inf:3", "-inf:1:3", "-1e308:1e308:3"],
+)
 def test_sweep_rejects_a_lambda_range_with_a_nan_end(lam, tmp_path, capsys):
     code, _, err = run_cli(
         ["sweep", "--scheme", "o3", "--boundary", "R3,0", f"--lambda={lam}",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import klstab.kldet
-from conftest import brute_roots, o3_Btilde_golden, recon_bc
+from conftest import brute_roots, mp_delta, o3_Btilde_golden, recon_bc
 from klstab.boundary import BoundaryCondition, ReconstructionSpec
 from klstab.errors import (
     CauchyViolation,
@@ -254,6 +254,21 @@ def test_delta_matches_reference_ratio(name, d, k_d, lam, rng):
         mine = delta(s, bc, z)
         assert abs(mine - ref) <= 1e-8 * (1 + abs(mine))
         done += 1
+
+
+@pytest.mark.parametrize(
+    "name,d,lam",
+    [("o3", 3, 0.5), ("o3", 3, 1.0), ("o3", 3, 2.0), ("lw5", 5, 0.5), ("lw5", 5, 1.0)],
+)
+def test_delta_matches_mpmath_oracle(name, d, lam):
+    # integer lambda makes the scheme a shift: P_z has exact roots at 0 (a
+    # double one for lw5 at lambda = 1) and at infinity
+    s = template(name)(lam)
+    bc = recon_bc(template(name), lam, d, 0, 0.1)
+    for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.1:
+        z = 1.05 * np.exp(1j * theta)
+        ref = mp_delta(s, bc, z)
+        assert abs(delta(s, bc, z) - ref) <= 1e-9 * abs(ref)
 
 
 def test_symmetric_function_consistency(rng):

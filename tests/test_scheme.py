@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from klstab.scheme import (
     CAUCHY_SAMPLES,
     CAUCHY_TOL,
     Scheme,
+    _lagrange,
     characteristic_polynomial,
     hersh_split,
     is_cauchy_stable,
@@ -191,6 +195,32 @@ def test_parse_scheme_line():
     for line in ("1 1 0.5 nan 0.5", "1 1 inf 0.5 -inf"):
         with pytest.raises(ValueError, match="finite"):
             parse_scheme_line(line)
+
+
+INTERPOLATION_LAMBDAS = [0.05, 0.3, 0.37, 0.5, 0.9, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("name,r,p", [("upwind", 1, 0), ("o3", 2, 1), ("lw5", 3, 2)])
+@pytest.mark.parametrize("lam", INTERPOLATION_LAMBDAS)
+def test_template_coefficients_match_exact_interpolation(name, r, p, lam):
+    # a_k = prod_{j != k} (-lambda - j) / (k - j) in rationals: a zero must be
+    # exactly 0 (integer lambda), anything else within 1e-15 relative
+    s = template(name)(lam)
+    nodes = range(-r, p + 1)
+    for k in nodes:
+        exact = math.prod((Fraction(-lam) - j) / (k - j) for j in nodes if j != k)
+        if exact == 0:
+            assert s.coeffs[k] == 0
+        else:
+            assert abs(Fraction(s.coeffs[k]) / exact - 1) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", INTERPOLATION_LAMBDAS)
+def test_lagrange_one_one_is_lax_wendroff(lam):
+    s = _lagrange(1, 1)(lam)
+    lax_wendroff = {-1: lam * (1 + lam) / 2, 0: 1 - lam**2, 1: -lam * (1 - lam) / 2}
+    for k, a in lax_wendroff.items():
+        assert s.coeffs[k] == pytest.approx(a, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("name", ["o3", "lw5"])

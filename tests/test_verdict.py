@@ -70,11 +70,22 @@ def test_cauchy_failure_is_invalid_precondition():
 
 @pytest.mark.parametrize("sigma", [-0.4, 0.0, 0.3])
 def test_o3_at_lambda_two_checks_without_warning(sigma):
-    # a_1 is 1.1e-16 at lambda = 2, so the root finder's initial radius ratio
-    # overflows before it is clipped; the check must neither warn nor change
+    # o3 at lambda = 2 is the shift U_{j-2}: a_{-1}, a_0 and a_1 are exactly 0,
+    # so P_z loses its top column to a root at infinity; no warning, no change
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = check(template("o3"), ReconstructionSpec(3, 0, sigma), 2.0)
+    assert (v.status, v.winding, v.unstable_zeros) == (STATUS_UNSTABLE, 1, 1)
+
+
+def test_tiny_leading_coefficient_checks_without_warning():
+    # a_1 = -1e-20 and a_{-1} = 0 make a radius ratio of the monic P_z overflow
+    # in the root finder's initial guesses before the clip caps it
+    line = "2 1 1.0 0.0 1e-20 -1e-20"
+    tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(tmpl, ReconstructionSpec(3, 0, 0.1), 0.5)
     assert (v.status, v.winding, v.unstable_zeros) == (STATUS_UNSTABLE, 1, 1)
 
 

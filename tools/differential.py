@@ -14,10 +14,10 @@ sits at z = -1; OVERFLOW, ghost matrices whose entries are not finite
 (invalid_precondition) or so large that the curve's values are beyond the
 refinement predicate (marginal), kept as strings, because a JSON NaN never
 equals itself; and DEGENERATE, lw5 R5,0 at lambda 2 and 3 and o3 R3,0 at
-lambda 2, sigma 0.1, where coefficients at the ends of P_z vanish: exactly
-for lw5 (a_p, and a_{-3} at lambda 2), roots at infinity and at 0 that the
-root finder splits off, and up to a 1.1e-16 residue for o3's a_1.  An input
-traces N_INIT initial samples unless it names its own ``n_init``.  It then
+lambda 2, sigma 0.1, where coefficients at the ends of P_z vanish exactly
+(a_p, and a_{-3} for lw5 at lambda 2): roots at infinity and at 0 that the
+root finder splits off.  An input traces N_INIT initial samples unless it
+names its own ``n_init``.  It then
 runs the sweeps of MAPS: o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from
 lambda 0.02, whose first row refines several cells on one shared scheme, and
 an o3 R3,0 4x4 over lambda 0.9..1.2, whose integer-CFL row and two
