@@ -45,8 +45,10 @@ def _parse_values(text: str, what: str) -> list[float]:
         raise ValueError(f"{what} range must be start:end:count, got {text!r}")
     start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1 or not 0 < end - start < np.inf:
-        raise ValueError(f"{what} range needs count >= 1 and start < end")
-    return list(np.linspace(start, end, count))
+        raise ValueError(f"{what} range needs count >= 1 and 0 < end - start < inf")
+    # only the last product can round past the largest float; linspace sets it to end
+    with np.errstate(over="ignore"):
+        return list(np.linspace(start, end, count))
 
 
 def _scheme_template(spec: str) -> SchemeTemplate:

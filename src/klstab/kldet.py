@@ -18,11 +18,10 @@ them.  The roots and their sigma(z) depend only on the scheme and z; the
 boundary enters only through the fold.  So ``kl_curve`` keeps the sigma(z)
 rows of its initial grid in the scheme's ``grid_sigmas``, which every boundary
 traced on that Scheme instance (a sweep's lambda row) reads.  The coefficients
-are real, so sigma(conj z) = conj sigma(z): ``_stable_sigmas`` solves P_z once
-per conjugate pair, and ``kl_curve`` samples the lower half of the circle at
-exact conjugates of the upper half.  Points whose roots all sit
-clear of the circle take r inside roots directly; the rest pass their
-already-solved roots, one point at a time, to ``select_stable_roots``.
+are real, so D(conj z) = conj D(z): ``kl_curve`` traces and refines only the
+upper half of the circle, from z = 1 to z = -1, and mirrors it.  Points whose
+roots all sit clear of the circle take r inside roots directly; the rest pass
+their already-solved roots, one point at a time, to ``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -154,12 +153,10 @@ def select_stable_roots(s: Scheme, z: complex, roots) -> StableRootSet:
     if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
     chosen, tags = _select(s, z, np.asarray(roots, dtype=complex))
-    chosen = sorted(chosen, key=lambda x: (x.real, x.imag))
+    pairs = sorted(zip(chosen, tags), key=lambda pair: (pair[0].real, pair[0].imag))
+    chosen, tags = zip(*pairs)
     return StableRootSet(
-        z=z,
-        roots=tuple(chosen),
-        sigmas=sigmas_from_roots(chosen),
-        provenance=tuple(tags),
+        z=z, roots=chosen, sigmas=sigmas_from_roots(chosen), provenance=tags
     )
 
 
@@ -319,29 +316,21 @@ def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
 def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     """sigma(z) at each z of a 1-D array: the scheme-side half of Delta.
 
-    The coefficients are real, so sigma(conj z) = conj sigma(z): every z
-    below the real axis is mapped to conj z, and the distinct points left are
-    solved in one batch.  A point whose roots all sit clear of the circle
-    band, r of them inside, takes the batched split; any other point goes
-    through select_stable_roots.
+    The points are solved in one batch.  A point whose roots all sit clear of
+    the circle band, r of them inside, takes the batched split; any other
+    point goes through select_stable_roots.
     """
-    lower = zs.imag < 0
-    keys = np.where(lower, zs.conj(), zs)
-    # np.unique would import numpy.ma on its first call
-    solve_zs = np.sort(keys)
-    solve_zs = solve_zs[np.append(True, solve_zs[1:] != solve_zs[:-1])]
-    roots = find_roots_many(_char_rows(s, solve_zs))[0]
+    roots = find_roots_many(_char_rows(s, zs))[0]
     moduli = np.abs(roots)
     inside = moduli < 1.0 - TOL_UNIT
     clear = np.abs(moduli - 1.0) > CLUSTER_TOL
     fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == s.r)
 
-    solved = np.empty((len(solve_zs), s.r), dtype=complex)
-    solved[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, s.r))
+    sig = np.empty((len(zs), s.r), dtype=complex)
+    sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, s.r))
     for i in np.flatnonzero(~fast):
-        solved[i] = select_stable_roots(s, complex(solve_zs[i]), roots[i]).sigmas
-    rows = solved[np.searchsorted(solve_zs, keys)]
-    return np.where(lower[:, None], rows.conj(), rows)
+        sig[i] = select_stable_roots(s, complex(zs[i]), roots[i]).sigmas
+    return sig
 
 
 def _delta_batch(
@@ -357,8 +346,9 @@ def _delta_batch(
 @lru_cache(maxsize=8)
 def _initial_grid(n_init: int) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.linspace(0.0, 2.0 * np.pi, n_init, endpoint=False)
+    thetas = np.append(thetas[: (n_init + 1) // 2], np.pi)
     zs = np.exp(1j * thetas)
-    zs[n_init // 2 + 1 :] = zs[(n_init - 1) // 2 : 0 : -1].conj()
+    zs[-1] = -1.0
     for grid in (thetas, zs):
         grid.setflags(write=False)
     return thetas, zs
@@ -372,19 +362,20 @@ def kl_curve(
 ) -> KLCurve:
     """Sample Delta on the unit circle with adaptive bisection refinement.
 
-    The n_init initial thetas are equispaced from 0; the z of each theta above
-    pi is the exact conjugate of the z of 2 pi - theta, so the two share one
-    solve of the scheme side.  The grid is kept read-only per n_init, and its
-    sigma(z) rows per Scheme instance in ``s.grid_sigmas[n_init]``.  Bisection
-    of an arc stops once the winding predicate accepts the segment or the arc
-    has been halved ``max_depth`` times; the curve is ``certified`` when that
-    last predicate pass flagged no segment.  A sample above MAX_MODULUS, or
-    not finite, is beyond what the predicate can judge; a sample within
-    ORIGIN_RESOLUTION of the origin puts 0 numerically on the curve: both its
-    segments stay flagged in every round (PROXIMITY_FLOOR is larger).  So each
-    round checks first for the scale, then for the origin, and raises
-    RefinementExhausted with that sample's theta and |Delta|; verdict layers
-    report that as marginal.
+    The coefficients are real, so D(conj z) = conj D(z): only theta in [0, pi]
+    is traced, from the n_init equispaced thetas below pi and pi itself, with
+    z = -1 exact and D taken real at z = 1 and -1.  The samples strictly
+    between 0 and pi are mirrored to 2 pi - theta with conj D and the same
+    depth.  The grid is kept read-only per n_init, and its sigma(z) rows per Scheme
+    instance in ``s.grid_sigmas[n_init]``.  Bisection of an arc stops once the
+    winding predicate accepts the segment or the arc has been halved
+    ``max_depth`` times; the curve is ``certified`` when that last predicate
+    pass flagged no segment.  A sample above MAX_MODULUS, or not finite, is
+    beyond what the predicate can judge; a sample within ORIGIN_RESOLUTION of
+    the origin puts 0 numerically on the curve: both its segments stay flagged
+    in every round (PROXIMITY_FLOOR is larger).  So each round checks first
+    for the scale, then for the origin, and raises RefinementExhausted with
+    that sample's theta and |Delta|; verdict layers report that as marginal.
     """
     if n_init < MIN_INIT_SAMPLES:
         raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
@@ -394,7 +385,8 @@ def kl_curve(
     if n_init not in s.grid_sigmas:
         s.grid_sigmas[n_init] = _stable_sigmas(s, zs)
     values = _delta_batch(bc, zs, s.grid_sigmas[n_init])
-    depths = np.zeros(n_init, dtype=int)
+    values[[0, -1]] = values[[0, -1]].real
+    depths = np.zeros(len(zs), dtype=int)
 
     while True:
         mods = np.abs(values)
@@ -410,19 +402,25 @@ def kl_curve(
                 f"|D| = {mods[near]:.3g} below {ORIGIN_RESOLUTION} "
                 f"at theta = {thetas[near]:.17g}"
             )
-        # segment i runs from sample i to sample i + 1, the last one back to 0
-        flags = needs_refinement(values, np.concatenate((values[1:], values[:1])))
-        child = np.maximum(depths, np.concatenate((depths[1:], depths[:1]))) + 1
+        # segment i runs from sample i to sample i + 1
+        flags = needs_refinement(values[:-1], values[1:])
+        child = np.maximum(depths[:-1], depths[1:]) + 1
         split = np.flatnonzero(flags & (child <= max_depth))
         if not len(split):
-            return KLCurve(thetas, values, depths, certified=not flags.any())
-        right = np.append(thetas[1:], 2.0 * np.pi)
-        mids = 0.5 * (thetas[split] + right[split])
+            break
+        mids = 0.5 * (thetas[split] + thetas[split + 1])
         mid_zs = np.exp(1j * mids)
         new_values = _delta_batch(bc, mid_zs, _stable_sigmas(s, mid_zs))
         thetas = np.insert(thetas, split + 1, mids)
         values = np.insert(values, split + 1, new_values)
         depths = np.insert(depths, split + 1, child[split])
+    lower = slice(-2, 0, -1)
+    return KLCurve(
+        np.concatenate((thetas, 2.0 * np.pi - thetas[lower])),
+        np.concatenate((values, values[lower].conj())),
+        np.concatenate((depths, depths[lower])),
+        certified=not flags.any(),
+    )
 
 
 def write_curve_csv(curve: KLCurve, path: str) -> None:

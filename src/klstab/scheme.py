@@ -33,7 +33,7 @@ class Scheme:
     ``coeffs[k]`` is the weight of U_{j+k} for k in [-r, p].  Construction
     checks that they are real and finite and satisfy the zeroth-order
     consistency sum(a_k) = 1.  Real coefficients make sigma(conj z) the
-    conjugate of sigma(z), which the determinant pipeline relies on.  Extreme
+    conjugate of sigma(z), so kl_curve traces only the upper half.  Extreme
     coefficients are normally nonzero; exact zeros are tolerated and the
     downstream pipeline handles the degeneracy.  The interpolation templates
     hit them at integer CFL numbers inside their stencils, where they are
@@ -43,7 +43,7 @@ class Scheme:
     sweep's lambda row) reads: the ``cauchy`` report; ``build_calB``'s read-only
     ``stencil``, a_k at row i, column r+i+k; ``_char_rows``' read-only
     ``char_row``; ``grid_sigmas``, the sigma(z) rows of ``kl_curve``'s initial
-    grid by n_init.  None of these takes part in equality or the repr.
+    grid, z = 1 to -1, by n_init.  None takes part in equality or the repr.
     """
 
     r: int

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import klstab.cli
 import klstab.verdict
@@ -109,8 +112,29 @@ def test_sweep_rejects_a_lambda_range_with_a_nan_end(lam, tmp_path, capsys):
         capsys,
     )
     assert code == 1
-    assert err == "error: lambda range needs count >= 1 and start < end\n"
+    assert err == "error: lambda range needs count >= 1 and 0 < end - start < inf\n"
     assert not (tmp_path / "map.csv").exists()
+
+
+RANGE_ENDS = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -5e-324])
+
+
+@settings(max_examples=500, deadline=None)
+@given(RANGE_ENDS, RANGE_ENDS, st.integers(-2, 64))
+@example(0.0, 1.7976931348623157e308, 19)
+def test_range_parsing_never_warns(start, end, count):
+    # a range is rejected by name, or parsed to count finite, nondecreasing
+    # values from start to end; either way numpy does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = klstab.cli._parse_values(f"{start!r}:{end!r}:{count}", "lambda")
+        except ValueError as err:
+            assert str(err).startswith("lambda range ")
+            return
+    assert len(values) == count and all(map(math.isfinite, values))
+    assert values[0] == start and (count == 1 or values[-1] == end)
+    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0", "-1"])

@@ -64,6 +64,18 @@ def test_select_o3_at_z_one_resolves_unit_root():
     assert CONTINUED in srs.provenance
 
 
+@pytest.mark.parametrize("name", ["o3", "lw5"])
+@pytest.mark.parametrize("order", [1, -1])
+def test_select_provenance_follows_its_root(name, order):
+    # at z = 1 the consistent root kappa = 1 is continued from inside and the
+    # rest are strictly inside, whatever order the roots arrive in
+    s = template(name)(0.5)
+    srs = select_stable_roots(s, 1.0 + 0j, roots_at(s, 1.0)[::order])
+    on_circle = [abs(abs(x) - 1.0) <= 1e-9 for x in srs.roots]
+    assert sum(on_circle) == 1
+    assert [tag == CONTINUED for tag in srs.provenance] == on_circle
+
+
 def test_select_o3_exterior_matches_brute_force():
     s = template("o3")(0.4)
     srs = select_stable_roots(s, 2.0 + 0j, roots_at(s, 2.0))
@@ -128,10 +140,12 @@ def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
     assert counts == {"one_row_solves": 129, "rouche": 129}
 
 
-@pytest.mark.parametrize("n_init", [64, 255, 256])
-def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init):
-    # samples below the real axis are read as conjugates of those above:
-    # z = 1, the upper half and, for even n_init, z = -1 are solved
+@pytest.mark.parametrize(
+    "n_init, solved", [(64, 33), (255, 129), (256, 129)], ids=["64", "255", "256"]
+)
+def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init, solved):
+    # only theta in [0, pi] is solved: the equispaced thetas below pi, then pi;
+    # the lower half of the curve is their mirror
     batches = []
     solve = klstab.kldet.find_roots_many
 
@@ -143,12 +157,9 @@ def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init):
     tmpl = template("o3")
     s = tmpl(0.6)
     curve = kl_curve(s, recon_bc(tmpl, 0.6, 3, 0, -0.4), n_init=n_init)
-    assert batches[0] == n_init // 2 + 1
-    # the kept row of theta > pi is the conjugate of the row of 2 pi - theta
-    rows = s.grid_sigmas[n_init]
-    assert rows.shape == (n_init, s.r) and len(curve) >= n_init
-    mirrored = rows[(n_init - 1) // 2 : 0 : -1]
-    assert np.array_equal(rows[n_init // 2 + 1 :], mirrored.conj())
+    assert batches[0] == solved
+    assert s.grid_sigmas[n_init].shape == (solved, s.r)
+    assert len(curve) == 2 * solved - 2
 
 
 def test_initial_grid_is_read_only():
@@ -156,10 +167,37 @@ def test_initial_grid_is_read_only():
     tmpl = template("o3")
     curve = kl_curve(tmpl(0.4), recon_bc(tmpl, 0.4, 3, 0, -0.4), n_init=64)
     thetas, zs = klstab.kldet._initial_grid(64)
-    assert np.array_equal(curve.thetas, thetas) and len(zs) == 64
+    assert np.array_equal(curve.thetas[:33], thetas) and len(zs) == 33
+    assert thetas[-1] == np.pi and zs[-1] == -1.0
     for grid in (thetas, zs):
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "name, d, sigma, lam, n_init",
+    [
+        ("o3", 3, -0.49, 0.05, 64),
+        ("lw5", 5, -0.49, 0.05, 64),
+        ("o3", 3, -0.4, 0.6, 256),
+        ("lw5", 5, 0.2, 0.6, 255),
+    ],
+)
+def test_kl_curve_mirrors_its_upper_half(name, d, sigma, lam, n_init, tmp_path):
+    # D(conj z) = conj D(z): the samples above pi are the reversed, conjugated
+    # samples strictly between 0 and pi, bit for bit, and D is real at z = +-1
+    tmpl = template(name)
+    curve = kl_curve(tmpl(lam), recon_bc(tmpl, lam, d, 0, sigma), n_init=n_init)
+    top = int(np.flatnonzero(curve.thetas == np.pi)[0])
+    assert len(curve) == 2 * top
+    upper, lower = slice(1, top), slice(len(curve) - 1, top, -1)
+    assert np.array_equal(curve.values[lower], curve.values[upper].conj())
+    assert np.array_equal(curve.thetas[lower], 2.0 * np.pi - curve.thetas[upper])
+    assert np.array_equal(curve.depths[lower], curve.depths[upper])
+    assert curve.values[0].imag == 0.0 and curve.values[top].imag == 0.0
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, str(path))
+    assert read_curve_csv(str(path)).certified == curve.certified
 
 
 def test_grid_sigmas_are_kept_per_n_init():

@@ -9,8 +9,9 @@ turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
 R<d>,<k_d> or random ghost matrices B.  Then come four fixed lists:
 EXTRAPOLATION, the three pure-extrapolation checks (upwind R3,-1, o3 and lw5
 R2,-1), whose curves touch the origin at z = 1 and end marginal; ODD_SAMPLES,
-o3 at lambda = 1 and lw5, traced from 255 initial samples, so that no sample
-sits at z = -1; OVERFLOW, ghost matrices whose entries are not finite
+o3 at lambda = 1 and lw5, traced from 255 initial samples, an odd count, at
+which z = -1 is not one of the equispaced thetas and is sampled besides them;
+OVERFLOW, ghost matrices whose entries are not finite
 (invalid_precondition) or so large that the curve's values are beyond the
 refinement predicate (marginal), kept as strings, because a JSON NaN never
 equals itself; and DEGENERATE, lw5 R5,0 at lambda 2 and 3 and o3 R3,0 at
