@@ -141,10 +141,6 @@ class BoundaryCondition:
         if not (np.all(np.isfinite(self.B)) and np.all(np.isfinite(self.calB))):
             raise ValueError("ghost matrix B and its calB must be finite")
 
-    @property
-    def r(self) -> int:
-        return self.B.shape[0]
-
     def validate(self, s: Scheme) -> None:
         fresh = build_calB(self.B, s)
         with np.errstate(over="ignore"):  # a difference past the largest float is inf

@@ -3,9 +3,11 @@
 Scheme specs are template names (upwind, naive_average, o3, lw5) or @file with
 the one-line custom format ``r p a_{-r} ... a_p``.  Boundary specs are
 ``R<d>,<k_d>`` (sigma supplied separately so sweeps can vary it) or @file in
-the boundary text format.  ``--lambda`` and ``--sigma`` accept a scalar or a
-``start:end:count`` range (sweep only).  Exit status is 0 whenever the
-computation ran, whatever the stability outcome; nonzero only on errors.
+the boundary text format, used as written: ``--sigma`` does not change it.
+``--lambda`` and ``--sigma`` accept a scalar or a ``start:end:count`` range
+(sweep only); check, curve and sweep refuse a lambda below
+``verdict.LAMBDA_MIN`` as the library's check does.  Exit status is 0 whenever
+the computation ran, whatever the stability outcome; nonzero only on errors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,15 +24,7 @@ from .crosscheck import simulate
 from .errors import KLStabError
 from .kldet import write_curve_csv
 from .scheme import SchemeTemplate, TEMPLATES, custom_template, template
-from .verdict import (
-    DEFAULT_LAMBDA_MIN,
-    _build_boundary,
-    _check,
-    filter_lambda_grid,
-    sweep,
-    write_map_csv,
-    write_map_svg,
-)
+from .verdict import _build_boundary, _check, sweep, write_map_csv, write_map_svg
 
 _RECON_RE = re.compile(r"^[Rr](\d+),(-?\d+)$")
 
@@ -60,17 +53,14 @@ def _scheme_template(spec: str) -> SchemeTemplate:
 
 
 def _boundary_family(spec: str):
-    """Returns sigma -> boundary description (ReconstructionSpec or matrix)."""
+    """sigma -> boundary description; an @file boundary ignores sigma."""
     m = _RECON_RE.match(spec)
     if m:
         d, k_d = int(m.group(1)), int(m.group(2))
         return lambda sigma: ReconstructionSpec(d=d, k_d=k_d, sigma=sigma)
     if spec.startswith("@"):
-        path = spec[1:]
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(spec[1:], "r", encoding="utf-8") as fh:
             parsed = parse_boundary_text(fh.read())
-        if isinstance(parsed, ReconstructionSpec):
-            return lambda sigma: replace(parsed, sigma=sigma)
         return lambda sigma: parsed
     raise ValueError(f"boundary spec must be R<d>,<k_d> or @file, got {spec!r}")
 
@@ -113,18 +103,11 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "sweep":
         if not args.out:
             raise ValueError("sweep requires --out")
-        kept = filter_lambda_grid(lams, args.lambda_min)
-        dropped = len(lams) - len(kept)
-        if dropped:
-            print(
-                f"dropped {dropped} lambda values below {args.lambda_min}",
-                file=sys.stderr,
-            )
-        grid = sweep(tmpl, family, kept, sigmas, n_init=args.samples)
+        grid = sweep(tmpl, family, lams, sigmas, n_init=args.samples)
         write_map_csv(grid, args.out)
         svg = os.path.splitext(args.out)[0] + ".svg"
         write_map_svg(grid, svg)
-        print(f"wrote {args.out} and {svg} cells={len(kept) * len(sigmas)}")
+        print(f"wrote {args.out} and {svg} cells={len(lams) * len(sigmas)}")
         return 0
 
     # simulate
@@ -165,9 +148,6 @@ def _add_parsers(sub) -> None:
     for name in ("curve", "sweep", "simulate"):
         parsers[name].add_argument("--out", default=None)
     parsers["check"].add_argument("--curve-out", dest="curve_out", default=None)
-    parsers["sweep"].add_argument(
-        "--lambda-min", dest="lambda_min", type=float, default=DEFAULT_LAMBDA_MIN
-    )
     parsers["simulate"].add_argument(
         "--grid-size", dest="grid_size", type=int, default=400
     )

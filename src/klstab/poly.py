@@ -107,8 +107,8 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     what is left).  A row whose own leading coefficient is zero raises
     ValueError.  Each row iterates until its own Aberth step falls below
     _STEP_TOL, so a row's roots depend only on its coefficients, bit for bit,
-    whatever batch it is solved in.  Raises NonConvergence when a
-    backward-error residual exceeds ROOT_TOL.
+    whatever batch it is solved in.  Raises NonConvergence when a monic row is
+    not finite or a backward-error residual exceeds ROOT_TOL.
 
     Returns
     -------
@@ -136,14 +136,16 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if d == 0:
         zeros = np.zeros((n, full_degree), dtype=complex)
         return zeros, np.zeros(n)
-    monic = rows / lead[:, None]
-    dcoef = monic[:, 1:] * np.arange(1, d + 1)[None, :]
-
-    x = _initial_guesses(monic)
     eye = np.eye(d, dtype=bool)
     active = np.arange(n)
-    xa, ma, da = x, monic, dcoef
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = rows / lead[:, None]
+        if not np.all(np.isfinite(monic)):  # a subnormal leading coefficient
+            tiny = lead[np.argmin(np.abs(lead))]
+            raise NonConvergence(f"dividing by leading coefficient {tiny:.3e} overflows")
+        dcoef = monic[:, 1:] * np.arange(1, d + 1)[None, :]
+        x = _initial_guesses(monic)
+        xa, ma, da = x, monic, dcoef
         for _ in range(ABERTH_MAX_SWEEPS):
             p = _horner_many(ma, xa)
             dp = _horner_many(da, xa)

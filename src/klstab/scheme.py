@@ -75,7 +75,8 @@ class Scheme:
 
     @cached_property
     def cauchy(self) -> CauchyReport:
-        mods = np.abs(np.fft.fft(self.coeff_array(), CAUCHY_SAMPLES))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: unstable
+            mods = np.abs(np.fft.fft(self.coeff_array(), CAUCHY_SAMPLES))
         i = int(np.argmax(mods))
         stable = bool(mods[i] <= 1.0 + CAUCHY_TOL)
         return CauchyReport(stable, 2.0 * np.pi * i / CAUCHY_SAMPLES, float(mods[i]))

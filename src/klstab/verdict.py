@@ -31,7 +31,9 @@ STATUS_UNSTABLE = "unstable"
 STATUS_MARGINAL = "marginal"
 STATUS_INVALID = "invalid_precondition"
 
-DEFAULT_LAMBDA_MIN = 0.01
+# Below LAMBDA_MIN the scheme nears the identity and the curve near z = 1 grows
+# features that the initial grid misses, so check refuses such a lambda.
+LAMBDA_MIN = 0.01
 MAP_CELL_PX = 12
 
 BoundarySpec = ReconstructionSpec | np.ndarray | BoundaryCondition
@@ -105,10 +107,10 @@ def check(
     or within ORIGIN_RESOLUTION of 0 ends refinement at once, and the ``error``
     diagnostic names its theta and |D|; or refinement left the curve uncertified.
     invalid_precondition covers a lambda the template rejects (not finite and
-    positive, or with coefficients that overflow or are not finite), bad n_init,
-    Cauchy failures, r = 0, a ghost matrix not r x m or not finite, a prebuilt
-    BoundaryCondition that does not fit the scheme at lam, and selection
-    breakdowns (diagnostics say which).
+    positive, or with coefficients that overflow or are not finite) or below
+    LAMBDA_MIN, bad n_init, Cauchy failures, r = 0, a ghost matrix not r x m or
+    not finite, a prebuilt BoundaryCondition that does not fit the scheme at
+    lam, and selection breakdowns (diagnostics say which).
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 
@@ -136,6 +138,9 @@ def _check(
         scheme = s_template(lam)
     except (ValueError, KLStabError) as exc:
         return stop(STATUS_INVALID, f"scheme construction failed: {exc}")
+    if lam < LAMBDA_MIN:
+        error = f"lambda {float(lam)!r} is below LAMBDA_MIN = {LAMBDA_MIN}"
+        return stop(STATUS_INVALID, error)
     if scheme.r == 0:
         return stop(STATUS_INVALID, "r = 0: no boundary modes, pipeline does not apply")
 
@@ -177,7 +182,8 @@ def sweep(
 
     Each lambda row builds its scheme once, so the row's cells share its
     Cauchy report and initial grid sigma(z) rows.  A cell's verdict equals that of
-    a standalone check.  ``r`` comes from the last row whose scheme builds,
+    a standalone check, so the cells of a lambda below LAMBDA_MIN read
+    invalid_precondition.  ``r`` comes from the last row whose scheme builds,
     and is 0 if none does.
     """
     lams = tuple(float(x) for x in lambda_values)
@@ -282,11 +288,3 @@ def write_map_svg(grid: SweepGrid, path: str) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def filter_lambda_grid(
-    values: Sequence[float], lambda_min: float = DEFAULT_LAMBDA_MIN
-) -> list[float]:
-    """Drop the left band [0, lambda_min) where tiny time steps defeat the
-    arithmetic; a nan is kept, for its cell to report."""
-    return [v for v in values if not v < lambda_min]

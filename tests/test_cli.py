@@ -88,8 +88,43 @@ def test_sweep_with_unbuildable_last_lambda(tmp_path, capsys):
     assert lines[2].endswith(",,,invalid_precondition")
 
 
+def test_check_refuses_a_lambda_below_the_floor(capsys):
+    code, out, err = run_cli(
+        ["check", "--scheme", "lw5", "--boundary", "R5,0", "--sigma", "-0.49",
+         "--lambda", "5e-4"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.strip() == "status=invalid_precondition winding=na zeros=na"
+
+
+def test_curve_refuses_a_lambda_below_the_floor(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["curve", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "0.005",
+         "--out", str(tmp_path / "curve.csv")],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: lambda 0.005 is below LAMBDA_MIN = 0.01\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma", [[], ["--sigma", "0.4"]])
+def test_boundary_file_is_used_as_written(sigma, tmp_path, capsys):
+    # the file's sigma, -0.4, is checked whatever --sigma says
+    path = tmp_path / "b.txt"
+    path.write_text("reconstruction 3 0 -0.4\n")
+    code, out, _ = run_cli(
+        ["check", "--scheme", "o3", "--boundary", f"@{path}", "--lambda", "0.4",
+         *sigma],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() == "status=stable winding=2 zeros=0"
+
+
 def test_sweep_reports_a_nan_lambda_in_its_cell(tmp_path, capsys):
-    # nan is not below lambda-min: it reaches the template, which rejects it
+    # nan reaches the template, which rejects it
     out_path = tmp_path / "map.csv"
     code, _, err = run_cli(
         ["sweep", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "nan",
@@ -209,14 +244,15 @@ def test_sweep_outputs(tmp_path, capsys):
          "--samples", "64", "--out", str(out_path)],
         capsys,
     )
-    assert code == 0
-    assert "dropped 1 lambda values" in err
+    assert (code, err) == (0, "")
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "lambda,sigma,winding,zeros,status"
-    assert len(lines) == 1 + 4 * 3  # one lambda dropped below lambda-min
+    assert len(lines) == 1 + 5 * 3
+    # lambda = 0.005 is below LAMBDA_MIN: its row's cells are invalid
+    assert all(ln.endswith(",,,invalid_precondition") for ln in lines[1:4])
     svg = tmp_path / "map.svg"
     assert svg.exists()
-    assert svg.read_text().count("<rect") == 1 + 12
+    assert svg.read_text().count("<rect") == 1 + 15
 
 
 @pytest.mark.parametrize(
@@ -229,6 +265,7 @@ def test_sweep_outputs(tmp_path, capsys):
         ("sweep", ["--grid-size", "3"]),
         ("simulate", ["--samples", "64"]),
         ("check", ["--sigma-range", "0.1"]),
+        ("sweep", ["--lambda-min", "0.1"]),
     ],
 )
 def test_flag_not_read_by_command_is_rejected(command, extra, tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import brute_roots
+from klstab.errors import NonConvergence
 from klstab.kldet import _char_rows
 from klstab.poly import (
     ComplexPolynomial,
@@ -51,6 +54,19 @@ def test_find_roots_many_drops_shared_zero_top_columns():
     rows[1, 4] = 1.0
     with pytest.raises(ValueError, match="leading coefficient"):
         find_roots_many(rows)
+
+
+def test_subnormal_leading_coefficient_raises_without_warning():
+    # the monic rows are not finite: the batch is refused, naming its
+    # smallest leading coefficient
+    rows = np.array([[1.0, 1.0, 1e-310], [1.0, -2.0, -5e-324]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence) as exc:
+            find_roots_many(rows)
+    assert str(exc.value) == (
+        "dividing by leading coefficient -4.941e-324+0.000e+00j overflows"
+    )
 
 
 def test_o3_characteristic_vieta():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,12 +21,12 @@ from klstab.scheme import (
     template,
 )
 from klstab.verdict import (
+    LAMBDA_MIN,
     STATUS_INVALID,
     STATUS_MARGINAL,
     STATUS_STABLE,
     STATUS_UNSTABLE,
     check,
-    filter_lambda_grid,
     sweep,
     write_map_csv,
     write_map_svg,
@@ -175,7 +175,7 @@ def check_inputs(draw):
     """A template, a lambda, and a boundary spec, ghost matrix or prebuilt boundary.
 
     Templates are the built-ins and a Cauchy-stable custom upwind with fixed
-    coefficients; lambda is in [0.01, 2] or one of BAD_LAMBDAS.  Ghost
+    coefficients; lambda is in (0, 2] or one of BAD_LAMBDAS.  Ghost
     matrices are mostly r x m, also of rank 0 or 1 or with a wrong row count;
     a prebuilt boundary is built at a lambda drawn on its own.
     """
@@ -186,7 +186,13 @@ def check_inputs(draw):
         tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
     else:
         tmpl = template(name)
-    lam = draw(st.one_of(st.floats(0.01, 2.0), st.sampled_from(BAD_LAMBDAS)))
+    lam = draw(
+        st.one_of(
+            st.floats(LAMBDA_MIN, 2.0),
+            st.floats(0.0, LAMBDA_MIN, exclude_min=True, exclude_max=True),
+            st.sampled_from(BAD_LAMBDAS),
+        )
+    )
     kind = draw(st.sampled_from(["spec", "matrix", "prebuilt"]))
     if kind == "spec":
         d = draw(st.integers(2, 6))
@@ -226,8 +232,77 @@ def test_check_never_raises_or_warns(inputs):
     assert v.status in (STATUS_STABLE, STATUS_UNSTABLE, STATUS_MARGINAL, STATUS_INVALID)
     if not 0 < lam < np.inf:
         assert v.status == STATUS_INVALID
+    elif lam < LAMBDA_MIN:
+        assert v.status == STATUS_INVALID
+        assert v.error == f"lambda {lam!r} is below LAMBDA_MIN = {LAMBDA_MIN}"
     if v.certified:
         assert v.unstable_zeros == tmpl(lam).r - v.winding >= 0
+
+
+HUGE = [1e308, -1e308, 1.7e308, -1.7e308]
+SUBNORMAL = [5e-324, -5e-324, 1e-310, -1e-310, 1e-320, -1e-320]
+
+
+@st.composite
+def custom_lines(draw):
+    """A custom scheme line ``r p a_{-r} ... a_p`` that sums to 1 in floats.
+
+    Coefficients are moderate, huge, subnormal or zero; one of them is then
+    set so that the line sums to 1, or to a value that is not finite when the
+    others' sum overflows.
+    """
+    r, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    coeff = st.one_of(
+        st.floats(-2.0, 2.0),
+        st.sampled_from(HUGE),
+        st.sampled_from(SUBNORMAL),
+        st.just(0.0),
+    )
+    vals = draw(st.lists(coeff, min_size=r + p + 1, max_size=r + p + 1))
+    i = draw(st.integers(0, r + p))
+    vals[i] = 1.0 - sum(vals[:i] + vals[i + 1 :])
+    return " ".join([str(r), str(p)] + [repr(v) for v in vals])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    custom_lines(),
+    st.sampled_from([(2, 0), (3, 0), (3, -1), (4, 1), (5, 0)]),
+    st.floats(-0.5, 0.5, exclude_max=True),
+)
+@example("1 1 1e308 -1e308 1", (2, 0), 0.1)
+@example("3 1 1e8 -1.7e308 -0.0 1.7e308 1.0", (2, 0), 0.1)
+@example("1 1 1e-310 1 -1e-310", (2, 0), 0.1)
+@example("1 1 1.0 1e-320 -5e-324", (2, 0), 0.1)
+def test_custom_scheme_check_never_raises_or_warns(line, boundary, sigma):
+    tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(tmpl, ReconstructionSpec(*boundary, sigma), 0.5)
+    assert v.status in (STATUS_STABLE, STATUS_UNSTABLE, STATUS_MARGINAL, STATUS_INVALID)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        # the FFT of the coefficients overflows, or meets inf - inf
+        ("1 1 1e308 -1e308 1", "Cauchy-stability violated"),
+        ("3 1 1e8 -1.7e308 -0.0 1.7e308 1.0", "Cauchy-stability violated"),
+        # a_p leads P_z, and dividing by it overflows
+        ("1 1 1e-310 1 -1e-310", "NonConvergence: dividing by leading coefficient "
+         "-1.000e-310+0.000e+00j overflows"),
+        ("1 1 1.0 1e-320 -5e-324", "NonConvergence: dividing by leading coefficient "
+         "-4.941e-324+0.000e+00j overflows"),
+    ],
+)
+def test_extreme_custom_coefficients_are_invalid_without_warning(line, error):
+    tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(tmpl, ReconstructionSpec(2, 0, 0.1), 0.5)
+    assert (v.status, v.error) == (STATUS_INVALID, error)
+    if error.startswith("Cauchy"):
+        assert v.cauchy_max_modulus == np.inf
 
 
 @settings(max_examples=25, deadline=None)
@@ -274,6 +349,37 @@ def test_lambda_not_finite_and_positive_is_invalid_in_check_and_sweep(
     cell = grid.results[0][0]
     assert (v.status, v.error) == (cell.status, cell.error) == (STATUS_INVALID, error)
     assert grid.r == 0
+
+
+@pytest.mark.parametrize("lam", [5e-324, 5e-4, np.nextafter(LAMBDA_MIN, 0)])
+@pytest.mark.parametrize("kind", ["lw5", "naive_average", "custom"])
+def test_lambda_below_the_floor_is_invalid_in_check_and_sweep(kind, lam, tmp_path):
+    # the template accepts these; check refuses them before the Cauchy check,
+    # naming a numpy lambda as a float
+    if kind == "custom":
+        path = tmp_path / "upwind.scm"
+        path.write_text("1 0 0.5 0.5\n")
+        tmpl = custom_template(str(path))
+    else:
+        tmpl = template(kind)
+    error = f"lambda {float(lam)!r} is below LAMBDA_MIN = {LAMBDA_MIN}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(tmpl, ReconstructionSpec(3, 0, 0.1), lam)
+        grid = sweep(tmpl, lambda s: ReconstructionSpec(3, 0, s), [lam], [-0.1, 0.1])
+    assert (v.status, v.error) == (STATUS_INVALID, error)
+    assert v.cauchy_max_modulus is None
+    assert all(cell == v for cell in grid.results[0][1:])
+    assert grid.results[0][0].error == error
+
+
+def test_lw5_below_the_floor_is_refused_not_misjudged():
+    # the 256-sample curve reads this point unstable with 2 zeros, and
+    # n_init = 512, max_depth = 40 reads it stable
+    v = check(template("lw5"), ReconstructionSpec(5, 0, -0.49), 5e-4)
+    assert v.status == STATUS_INVALID
+    assert v.error == "lambda 0.0005 is below LAMBDA_MIN = 0.01"
+    assert check(template("lw5"), ReconstructionSpec(5, 0, -0.49), LAMBDA_MIN).certified
 
 
 def test_prebuilt_boundary_must_fit_its_scheme():
@@ -571,8 +677,3 @@ def test_map_svg_structure(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<rect") == 1 + 4  # background + one per cell
     assert "lambda</text>" in text and "sigma</text>" in text
-
-
-def test_lambda_grid_filter():
-    assert filter_lambda_grid([0.001, 0.005, 0.02, 0.5]) == [0.02, 0.5]
-    assert filter_lambda_grid([0.001], 0.01) == []
