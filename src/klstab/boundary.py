@@ -1,10 +1,11 @@
 """Boundary matrices: ghost extrapolation B, its eliminated form, and reconstructions.
 
-The raw matrix B expresses the r ghost values (U_{-r}, ..., U_{-1}) as linear
-combinations of the first m interior values.  The interior update for rows
-0..r-1 is one stencil matrix over the ghost and interior columns; substituting
-the ghosts into it eliminates them and produces the r x m matrix calB with
-(U_0, ..., U_{r-1})^{n+1} = calB (U_0, ..., U_{m-1})^n for zero boundary data.
+A ``BoundaryCondition`` is its ghost matrix B: the r ghost values (U_{-r}, ...,
+U_{-1}) as combinations of the first m interior values.  Substituting them into
+the first r interior updates, one stencil matrix over the ghost and interior
+columns, gives the r x m matrix calB with (U_0, ..., U_{r-1})^{n+1} = calB
+(U_0, ..., U_{m-1})^n for zero boundary data.  calB depends on lambda, so
+``build_calB`` makes it per scheme.
 
 The reconstruction procedure of order d with k_d time-derivative substitutions
 handles a physical boundary offset by sigma*dx from grid point 0: ghost and
@@ -26,7 +27,7 @@ from .errors import ShapeMismatch, SingularYPlus
 from .scheme import Scheme
 
 SINGULAR_RATIO_MIN = 1e-13
-CALB_REBUILD_TOL = 1e-10
+_NOT_FINITE = "ghost matrix B and its calB must be finite"
 
 
 @dataclass(frozen=True)
@@ -101,67 +102,63 @@ def reconstruction_B(spec: ReconstructionSpec, r: int, m: int) -> np.ndarray:
     return out
 
 
+def _fit(B, s: Scheme) -> np.ndarray:
+    """B as a float array, if it is r x m with m >= p + r for scheme s."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[0] != s.r:
+        raise ShapeMismatch(f"B must be r x m with r={s.r}, got {B.shape}")
+    if B.shape[1] < s.p + s.r:
+        raise ShapeMismatch(f"m={B.shape[1]} must be >= p+r={s.p + s.r}")
+    return B
+
+
 def build_calB(B: np.ndarray, s: Scheme) -> np.ndarray:
-    """Eliminate ghosts: calB = A[:, :r] B + A[:, r:].
+    """Eliminate ghosts: calB = A[:, :r] B + A[:, r:]; B must fit s, calB be finite.
 
     A is the r x (r+m) stencil of the first r interior updates over the
     columns (U_{-r}, ..., U_{-1}, U_0, ..., U_{m-1}), zero past the scheme's
     ``stencil`` columns.  Its ghost block multiplies B, its interior block is added.
     """
-    B = np.asarray(B, dtype=float)
-    r, p = s.r, s.p
-    if B.ndim != 2 or B.shape[0] != r:
-        raise ShapeMismatch(f"B must be r x m with r={r}, got {B.shape}")
-    m = B.shape[1]
-    if m < p + r:
-        raise ShapeMismatch(f"m={m} must be >= p+r={p + r}")
-    A = np.concatenate((s.stencil, np.zeros((r, m - r - p))), axis=1)
-    # BoundaryCondition rejects a calB that overflows or is not finite
+    B = _fit(B, s)
+    r = s.r
+    A = np.concatenate((s.stencil, np.zeros((r, B.shape[1] - r - s.p))), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return A[:, :r] @ B + A[:, r:]
+        calB = A[:, :r] @ B + A[:, r:]
+    if not np.all(np.isfinite(calB)):
+        raise ValueError(_NOT_FINITE)
+    return calB
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCondition:
-    """Ghost matrix B (r x m) together with its eliminated form calB.
+    """Finite ghost matrix B (r x m): (U_{-r}, ..., U_{-1}) = B (U_0, ..., U_{m-1}).
 
-    calB is stored redundantly; ``validate``, which ``check`` runs on a prebuilt
-    boundary, recomputes it from (B, scheme).  Both must be finite.
+    B does not depend on lambda: one boundary holds at every lambda of a scheme
+    whose widths it fits, and ``build_calB(bc.B, s)`` is its calB on scheme s.
     """
 
-    m: int
     B: np.ndarray
-    calB: np.ndarray
 
     def __post_init__(self):
-        if self.B.shape[1:] != (self.m,) or self.calB.shape != self.B.shape:
-            raise ShapeMismatch(
-                f"B {self.B.shape} and calB {self.calB.shape} must be r x {self.m}"
-            )
-        if not (np.all(np.isfinite(self.B)) and np.all(np.isfinite(self.calB))):
-            raise ValueError("ghost matrix B and its calB must be finite")
+        if self.B.ndim != 2:
+            raise ShapeMismatch(f"B must be r x m, got {self.B.shape}")
+        if not np.all(np.isfinite(self.B)):
+            raise ValueError(_NOT_FINITE)
 
-    def validate(self, s: Scheme) -> None:
-        fresh = build_calB(self.B, s)
-        with np.errstate(over="ignore"):  # a difference past the largest float is inf
-            err = float(np.max(np.abs(fresh - self.calB)))
-        if err > CALB_REBUILD_TOL * (1.0 + float(np.max(np.abs(fresh)))):
-            raise ValueError(f"stored calB deviates from rebuild by {err:.3e}")
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
 
     @classmethod
     def from_matrix(cls, B: np.ndarray, s: Scheme) -> "BoundaryCondition":
-        """Boundary of ghost matrix B on scheme s; ``build_calB`` checks B's shape."""
-        B = np.asarray(B, dtype=float)
-        calB = build_calB(B, s)
-        return cls(m=B.shape[1], B=B, calB=calB)
+        """Boundary of ghost matrix B, which must fit s (``build_calB``'s rule)."""
+        return cls(_fit(B, s))
 
     @classmethod
     def from_reconstruction(
         cls, spec: ReconstructionSpec, s: Scheme
     ) -> "BoundaryCondition":
-        m = max(s.p + s.r, spec.width)
-        B = reconstruction_B(spec, s.r, m)
-        return cls(m=m, B=B, calB=build_calB(B, s))
+        return cls(reconstruction_B(spec, s.r, max(s.p + s.r, spec.width)))
 
 
 def parse_boundary_text(text: str) -> "ReconstructionSpec | np.ndarray":

@@ -117,7 +117,7 @@ def run(args: argparse.Namespace) -> int:
     bc = _build_boundary(family(sigma), scheme)
     f = np.zeros(args.grid_size)
     g = np.zeros((args.steps, scheme.r))
-    g[0, -1] = 1.0
+    g[:1, -1] = 1.0  # an impulse at step 0; simulate refuses N < 1
     run_out = simulate(scheme, bc, f, g, args.steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, build_calB
 from .errors import NonConvergence, ShapeMismatch
 from .scheme import Scheme
 
@@ -47,7 +47,7 @@ def assemble_quasi_toeplitz(
     if J < bc.m + s.p:
         raise ShapeMismatch(f"J={J} must be >= m+p={bc.m + s.p}")
     M = np.zeros((J, J))
-    M[: s.r, : bc.m] = bc.calB
+    M[: s.r, : bc.m] = build_calB(bc.B, s)
     for i in range(s.r, J):
         for k in range(-s.r, s.p + 1):
             j = i + k

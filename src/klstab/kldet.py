@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, build_calB
 from .errors import (
     BoundaryAmbiguity,
     CauchyViolation,
@@ -260,7 +260,7 @@ def delta(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
     zs = np.array([z])
-    return complex(_delta_batch(bc, zs, _stable_sigmas(s, zs))[0])
+    return complex(_delta_batch(build_calB(bc.B, s), zs, _stable_sigmas(s, zs))[0])
 
 
 def basis_matrices(
@@ -300,7 +300,7 @@ def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     roots = find_roots_many(_char_rows(s, np.array([complex(z)])))[0][0]
     srs = select_stable_roots(s, z, roots)
     basis = basis_matrices(srs, rows=bc.m, require_distinct=True)
-    num = np.linalg.det(z * basis.K_top - bc.calB.astype(complex) @ basis.K_full)
+    num = np.linalg.det(z * basis.K_top - build_calB(bc.B, s) @ basis.K_full)
     den = np.linalg.det(basis.K_top)
     return complex(num / den)
 
@@ -333,13 +333,11 @@ def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _delta_batch(
-    bc: BoundaryCondition, zs: np.ndarray, sig: np.ndarray
-) -> np.ndarray:
+def _delta_batch(calB: np.ndarray, zs: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Delta at each z of ``zs``: fold calB with its sigma(z) row, det(z I - Bt)."""
     # a huge calB overflows here; kl_curve reports the sample
     with np.errstate(over="ignore", invalid="ignore"):
-        bt = _fold_columns(bc.calB, sig)
+        bt = _fold_columns(calB, sig)
         return np.linalg.det(zs[:, None, None] * np.eye(sig.shape[1]) - bt)
 
 
@@ -381,10 +379,11 @@ def kl_curve(
         raise ValueError(f"n_init must be >= {MIN_INIT_SAMPLES}")
     if s.r < 1:
         raise ValueError("curve requires r >= 1")
+    calB = build_calB(bc.B, s)
     thetas, zs = _initial_grid(n_init)
     if n_init not in s.grid_sigmas:
         s.grid_sigmas[n_init] = _stable_sigmas(s, zs)
-    values = _delta_batch(bc, zs, s.grid_sigmas[n_init])
+    values = _delta_batch(calB, zs, s.grid_sigmas[n_init])
     values[[0, -1]] = values[[0, -1]].real
     depths = np.zeros(len(zs), dtype=int)
 
@@ -410,7 +409,7 @@ def kl_curve(
             break
         mids = 0.5 * (thetas[split] + thetas[split + 1])
         mid_zs = np.exp(1j * mids)
-        new_values = _delta_batch(bc, mid_zs, _stable_sigmas(s, mid_zs))
+        new_values = _delta_batch(calB, mid_zs, _stable_sigmas(s, mid_zs))
         thetas = np.insert(thetas, split + 1, mids)
         values = np.insert(values, split + 1, new_values)
         depths = np.insert(depths, split + 1, child[split])
@@ -442,6 +441,8 @@ def read_curve_csv(path: str) -> KLCurve:
             thetas.append(float(t))
             values.append(complex(float(re), float(im)))
             depths.append(int(d))
+    if len(values) < 2:
+        raise ValueError(f"curve CSV needs at least 2 samples, got {len(values)}")
     values = np.array(values)
     flags = needs_refinement(values, np.roll(values, -1))
     return KLCurve(np.array(thetas), values, np.array(depths), not np.any(flags))

@@ -85,7 +85,6 @@ class SweepGrid:
 
 def _build_boundary(spec, scheme) -> BoundaryCondition:
     if isinstance(spec, BoundaryCondition):
-        spec.validate(scheme)
         return spec
     if isinstance(spec, ReconstructionSpec):
         return BoundaryCondition.from_reconstruction(spec, scheme)
@@ -108,9 +107,9 @@ def check(
     diagnostic names its theta and |D|; or refinement left the curve uncertified.
     invalid_precondition covers a lambda the template rejects (not finite and
     positive, or with coefficients that overflow or are not finite) or below
-    LAMBDA_MIN, bad n_init, Cauchy failures, r = 0, a ghost matrix not r x m or
-    not finite, a prebuilt BoundaryCondition that does not fit the scheme at
-    lam, and selection breakdowns (diagnostics say which).
+    LAMBDA_MIN, bad n_init, Cauchy failures, r = 0, a ghost matrix (prebuilt or
+    not) not r x m with m >= p + r, a B or calB not finite, and selection
+    breakdowns (diagnostics say which); a prebuilt boundary checks as its B.
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from klstab import ReconstructionSpec, template
-from klstab.boundary import BoundaryCondition
+from klstab.boundary import BoundaryCondition, build_calB
 
 # Golden rationals displayed for the third-order reconstruction at sigma = 0.4, r = 2.
 Y_MINUS_GOLDEN = np.array([[-12 / 5, 1753 / 600], [-7 / 5, 613 / 600]])
@@ -94,7 +94,7 @@ def mp_delta(s, bc, z) -> complex:
                     k_full[n, col] = mp.binomial(n, q) * kappa ** (n - q)
                 col += 1
         k_top = k_full[: s.r, :]
-        calB = mp.matrix(bc.calB.tolist())
+        calB = mp.matrix(build_calB(bc.B, s).tolist())
         return complex(mp.det(mp.mpc(z) * k_top - calB * k_full) / mp.det(k_top))
 
 

@@ -31,7 +31,13 @@ from conftest import (
     o3_calB_golden,
     recon_bc,
 )
-from klstab.boundary import BoundaryCondition, ReconstructionSpec, reconstruction_B, reconstruction_matrices
+from klstab.boundary import (
+    BoundaryCondition,
+    ReconstructionSpec,
+    build_calB,
+    reconstruction_B,
+    reconstruction_matrices,
+)
 from klstab.crosscheck import assemble_quasi_toeplitz, spectral_radius
 from klstab.errors import MultipleRoot
 from klstab.kldet import delta, delta_reference, reduce_Btilde
@@ -96,11 +102,11 @@ def test_criterion_2_boundary_golden_matrices():
         np.max(np.abs(b - B_GOLDEN) / np.abs(B_GOLDEN)),
     ]
     for lam in np.linspace(0.05, 1.0, 20):
-        bc = BoundaryCondition.from_reconstruction(
-            ReconstructionSpec(3, 0, 0.4), template("o3")(float(lam))
-        )
+        s = template("o3")(float(lam))
+        bc = BoundaryCondition.from_reconstruction(ReconstructionSpec(3, 0, 0.4), s)
         golden = o3_calB_golden(float(lam))
-        errs.append(np.max(np.abs(bc.calB - golden) / (np.abs(golden) + 1e-30)))
+        calB = build_calB(bc.B, s)
+        errs.append(np.max(np.abs(calB - golden) / (np.abs(golden) + 1e-30)))
     worst = float(np.max(errs))
     ok = worst <= 1e-12
     report(2, ok, f"Y-, Y+, B and calB golden entries, worst relative error {worst:.2e}")
@@ -114,10 +120,9 @@ def test_criterion_3_Btilde_golden_formula():
         lam = float(rng.uniform(0.05, 1.0))
         s0 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         s1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        bc = BoundaryCondition.from_reconstruction(
-            ReconstructionSpec(3, 0, 0.4), template("o3")(lam)
-        )
-        bt = reduce_Btilde(bc.calB, [s0, s1])
+        s = template("o3")(lam)
+        bc = BoundaryCondition.from_reconstruction(ReconstructionSpec(3, 0, 0.4), s)
+        bt = reduce_Btilde(build_calB(bc.B, s), [s0, s1])
         golden = o3_Btilde_golden(lam, s0, s1)
         worst = max(worst, float(np.max(np.abs(bt - golden) / (1 + np.abs(golden)))))
     ok = worst <= 1e-10

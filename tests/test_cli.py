@@ -11,7 +11,9 @@ import klstab.verdict
 from conftest import recon_bc
 from klstab.cli import main
 from klstab.kldet import kl_curve, read_curve_csv, write_curve_csv
-from klstab.scheme import template
+from klstab.boundary import ReconstructionSpec
+from klstab.scheme import custom_template, template
+from klstab.verdict import check
 from klstab.winding import winding_number
 
 
@@ -288,6 +290,52 @@ def test_sweep_requires_out(capsys):
     )
     assert code == 1
     assert "requires --out" in err
+
+
+def test_curve_requires_out(capsys):
+    code, out, err = run_cli(
+        ["curve", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "0.4"], capsys
+    )
+    assert (code, out, err) == (1, "", "error: curve requires --out\n")
+
+
+def test_sweep_rejects_a_range_without_a_count(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "0:1",
+         "--out", str(tmp_path / "map.csv")],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: lambda range must be start:end:count, got '0:1'\n"
+
+
+@pytest.mark.parametrize(
+    "steps, error",
+    [("0", "error: N must be >= 1\n"), ("-1", "error: ")],
+)
+def test_simulate_refuses_a_step_count_below_one(steps, error, capsys):
+    code, out, err = run_cli(
+        ["simulate", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "0.4",
+         "--grid-size", "20", "--steps", steps],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+def test_scheme_without_a_left_width_is_invalid(tmp_path, capsys):
+    # r = 0: the scheme reads no ghost values, so there is no boundary to judge
+    spath = tmp_path / "right.scm"
+    spath.write_text("0 1 0.5 0.5\n")
+    v = check(custom_template(str(spath)), ReconstructionSpec(2, 0, 0.0), 0.5)
+    assert v.status == "invalid_precondition"
+    assert v.error == "r = 0: no boundary modes, pipeline does not apply"
+    code, out, err = run_cli(
+        ["check", "--scheme", f"@{spath}", "--boundary", "R2,0", "--lambda", "0.5"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out == "status=invalid_precondition winding=na zeros=na\n"
 
 
 def test_simulate_summary_and_dump(tmp_path, capsys):

@@ -19,7 +19,7 @@ def shift_scheme():
 
 def test_assemble_shift_scheme():
     s = shift_scheme()
-    bc = BoundaryCondition(m=1, B=np.array([[0.7]]), calB=np.array([[0.7]]))
+    bc = BoundaryCondition(np.array([[0.7]]))
     M = assemble_quasi_toeplitz(s, bc, 4).entries
     expected = np.array(
         [
@@ -98,7 +98,7 @@ def test_simulate_exact_shift_transport():
     # rightgoing transport: the full-CFL shift moves the profile one cell right
     # per step, so a delta at j=10 sits at j=15 after five steps
     s = shift_scheme()
-    bc = BoundaryCondition(m=1, B=np.zeros((1, 1)), calB=np.zeros((1, 1)))
+    bc = BoundaryCondition(np.zeros((1, 1)))
     f = np.zeros(20)
     f[10] = 1.0
     run = simulate(s, bc, f, None, 5)

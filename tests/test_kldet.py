@@ -6,7 +6,7 @@ import pytest
 
 import klstab.kldet
 from conftest import brute_roots, mp_delta, o3_Btilde_golden, recon_bc
-from klstab.boundary import BoundaryCondition, ReconstructionSpec
+from klstab.boundary import BoundaryCondition, ReconstructionSpec, build_calB
 from klstab.errors import (
     CauchyViolation,
     MultipleRoot,
@@ -41,9 +41,10 @@ def roots_at(s, z):
     return find_roots(characteristic_polynomial(s, z)).roots
 
 
-def zero_boundary(r: int, m: int) -> BoundaryCondition:
-    # test-harness injection: identically zero boundary rows
-    return BoundaryCondition(m=m, B=np.zeros((r, m)), calB=np.zeros((r, m)))
+def zero_boundary(s: Scheme, m: int) -> BoundaryCondition:
+    # ghosts that cancel the interior block: calB is 0 up to rounding
+    A = np.concatenate((s.stencil, np.zeros((s.r, m - s.r - s.p))), axis=1)
+    return BoundaryCondition(-np.linalg.solve(A[:, : s.r], A[:, s.r :]))
 
 
 def test_select_shift_scheme_on_circle():
@@ -234,8 +235,9 @@ def test_reduce_Btilde_golden_o3(rng):
         lam = float(rng.uniform(0.05, 1.0))
         s0 = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         s1 = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        bc = BoundaryCondition.from_reconstruction(spec, template("o3")(lam))
-        bt = reduce_Btilde(bc.calB, [s0, s1])
+        s = template("o3")(lam)
+        bc = BoundaryCondition.from_reconstruction(spec, s)
+        bt = reduce_Btilde(build_calB(bc.B, s), [s0, s1])
         golden = o3_Btilde_golden(lam, s0, s1)
         assert np.max(np.abs(bt - golden) / (1 + np.abs(golden))) <= 1e-10
 
@@ -263,7 +265,7 @@ def test_reduce_Btilde_shape_guards():
 
 def test_delta_zero_boundary_is_z_power_r():
     s = template("o3")(0.4)
-    bc = zero_boundary(2, 3)
+    bc = zero_boundary(s, 3)
     for z in (2.0 + 0j, 1.5 + 0.5j, np.exp(0.9j)):
         assert delta(s, bc, z) == pytest.approx(z**2, rel=1e-12)
 
@@ -317,8 +319,9 @@ def test_symmetric_function_consistency(rng):
         z = float(rng.uniform(1.05, 5.0)) * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
         srs = select_stable_roots(s, z, roots_at(s, z))
         basis = basis_matrices(srs, rows=bc.m)
-        expected = bc.calB @ basis.K_full @ np.linalg.inv(basis.K_top)
-        bt = reduce_Btilde(bc.calB, srs.sigmas)
+        calB = build_calB(bc.B, s)
+        expected = calB @ basis.K_full @ np.linalg.inv(basis.K_top)
+        bt = reduce_Btilde(calB, srs.sigmas)
         assert np.max(np.abs(bt - expected)) <= 1e-8 * (1 + np.max(np.abs(expected)))
 
 
@@ -369,7 +372,7 @@ def test_basis_matrices_double_root_columns():
 
 def test_kl_curve_zero_boundary_winds_r_times():
     s = template("o3")(0.4)
-    curve = kl_curve(s, zero_boundary(2, 3), n_init=64)
+    curve = kl_curve(s, zero_boundary(s, 3), n_init=64)
     expected = np.exp(2j * curve.thetas)
     assert np.max(np.abs(curve.values - expected)) <= 1e-9
     assert winding_number(curve.values).index == 2
@@ -523,6 +526,15 @@ def test_curve_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, curve.values)
     assert np.array_equal(back.depths, curve.depths)
     assert winding_number(back.values).index == winding_number(curve.values).index
+
+
+@pytest.mark.parametrize("rows", [[], ["0,1,0,0"]])
+def test_read_curve_csv_needs_two_samples(rows, tmp_path):
+    # winding_number refuses a curve of fewer samples, so the reader does too
+    path = tmp_path / "curve.csv"
+    path.write_text("\n".join(["theta,re,im,depth", *rows]) + "\n")
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        read_curve_csv(str(path))
 
 
 def test_kl_curve_certifies_its_last_round(tmp_path):

@@ -168,6 +168,11 @@ def test_verdict_is_slotted_and_diagnostics_keep_their_keys(
 
 
 BAD_LAMBDAS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+LAMBDAS = st.one_of(
+    st.floats(LAMBDA_MIN, 2.0),
+    st.floats(0.0, LAMBDA_MIN, exclude_min=True, exclude_max=True),
+    st.sampled_from(BAD_LAMBDAS),
+)
 
 
 @st.composite
@@ -186,13 +191,7 @@ def check_inputs(draw):
         tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
     else:
         tmpl = template(name)
-    lam = draw(
-        st.one_of(
-            st.floats(LAMBDA_MIN, 2.0),
-            st.floats(0.0, LAMBDA_MIN, exclude_min=True, exclude_max=True),
-            st.sampled_from(BAD_LAMBDAS),
-        )
-    )
+    lam = draw(LAMBDAS)
     kind = draw(st.sampled_from(["spec", "matrix", "prebuilt"]))
     if kind == "spec":
         d = draw(st.integers(2, 6))
@@ -237,6 +236,22 @@ def test_check_never_raises_or_warns(inputs):
         assert v.error == f"lambda {lam!r} is below LAMBDA_MIN = {LAMBDA_MIN}"
     if v.certified:
         assert v.unstable_zeros == tmpl(lam).r - v.winding >= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["upwind", "naive_average", "o3", "lw5"]), LAMBDAS, st.data())
+def test_prebuilt_boundary_checks_as_its_ghost_matrix(name, lam, data):
+    # a BoundaryCondition holds no lambda: built on the scheme at any other
+    # lambda, it reads what its ghost matrix reads
+    tmpl = template(name)
+    s = tmpl(0.5)  # stencil widths do not depend on lambda
+    width = data.draw(st.integers(s.r + s.p, s.r + s.p + 3))
+    B = data.draw(arrays(float, (s.r, width), elements=st.floats(-2.0, 2.0)))
+    other = tmpl(data.draw(st.floats(0.01, 2.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prebuilt = check(tmpl, BoundaryCondition.from_matrix(B, other), lam)
+        assert prebuilt == check(tmpl, B, lam)
 
 
 HUGE = [1e308, -1e308, 1.7e308, -1.7e308]
@@ -383,13 +398,13 @@ def test_lw5_below_the_floor_is_refused_not_misjudged():
 
 
 def test_prebuilt_boundary_must_fit_its_scheme():
-    # a boundary built at another lambda or for another template is judged
-    # against the scheme it is checked on; one that fits checks as its spec
+    # a boundary is its ghost matrix: one built at another lambda checks as
+    # its spec, and one built for another template does not fit
     o3, spec = template("o3"), ReconstructionSpec(3, 0, -0.4)
     at_half = BoundaryCondition.from_reconstruction(spec, o3(0.5))
     v = check(o3, at_half, 0.9)
-    assert v.status == STATUS_INVALID
-    assert v.error == "ValueError: stored calB deviates from rebuild by 2.420e+00"
+    assert v == check(o3, spec, 0.9)
+    assert (v.status, v.unstable_zeros) == (STATUS_UNSTABLE, 1)
     upwind_bc = BoundaryCondition.from_reconstruction(spec, template("upwind")(0.5))
     v = check(o3, upwind_bc, 0.5)
     assert v.status == STATUS_INVALID
@@ -553,6 +568,11 @@ def test_sweep_empty_grid_rejected():
         sweep(template("o3"), lambda s: ReconstructionSpec(3, 0, s), [], [0.1])
 
 
+def test_sweep_descending_grid_rejected():
+    with pytest.raises(ValueError, match="grid values must be ascending"):
+        sweep(template("o3"), lambda s: ReconstructionSpec(3, 0, s), [0.9, 0.3], [0.1])
+
+
 def test_sweep_matches_individual_checks(rng):
     # a row's cells share its scheme's grid_sigmas; every verdict, diagnostics
     # included, must still equal the standalone check's bit for bit
@@ -677,3 +697,13 @@ def test_map_svg_structure(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<rect") == 1 + 4  # background + one per cell
     assert "lambda</text>" in text and "sigma</text>" in text
+
+
+def test_map_svg_colours_a_marginal_cell(tmp_path):
+    # pure extrapolation puts the curve through the origin at z = 1
+    family = lambda s: ReconstructionSpec(3, -1, s)  # noqa: E731
+    grid = sweep(template("upwind"), family, [0.4], [0.2])
+    assert grid.results[0][0].status == STATUS_MARGINAL
+    path = tmp_path / "map.svg"
+    write_map_svg(grid, str(path))
+    assert 'fill="#7d1111"' in path.read_text()

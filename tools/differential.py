@@ -6,7 +6,7 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B.  Then come four fixed lists:
+R<d>,<k_d> or random ghost matrices B.  Then come five fixed lists:
 EXTRAPOLATION, the three pure-extrapolation checks (upwind R3,-1, o3 and lw5
 R2,-1), whose curves touch the origin at z = 1 and end marginal; ODD_SAMPLES,
 o3 at lambda = 1 and lw5, traced from 255 initial samples, an odd count, at
@@ -14,11 +14,13 @@ which z = -1 is not one of the equispaced thetas and is sampled besides them;
 OVERFLOW, ghost matrices whose entries are not finite
 (invalid_precondition) or so large that the curve's values are beyond the
 refinement predicate (marginal), kept as strings, because a JSON NaN never
-equals itself; and DEGENERATE, lw5 R5,0 at lambda 2 and 3 and o3 R3,0 at
+equals itself; DEGENERATE, lw5 R5,0 at lambda 2 and 3 and o3 R3,0 at
 lambda 2, sigma 0.1, where coefficients at the ends of P_z vanish exactly
 (a_p, and a_{-3} for lw5 at lambda 2): roots at infinity and at 0 that the
-root finder splits off.  An input traces N_INIT initial samples unless it
-names its own ``n_init``.  It then
+root finder splits off; and PREBUILT, whose boundary reaches ``_check`` as a
+``BoundaryCondition`` built on the scheme at the lambda it is checked at (o3
+R3,0, lw5 R5,0 and an upwind 1 x 2 ghost matrix).  An input traces N_INIT
+initial samples unless it names its own ``n_init``.  It then
 runs the sweeps of MAPS: o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from
 lambda 0.02, whose first row refines several cells on one shared scheme, and
 an o3 R3,0 4x4 over lambda 0.9..1.2, whose integer-CFL row and two
@@ -77,6 +79,11 @@ DEGENERATE = [
     {"scheme": "lw5", "lam": 3.0, "recon": [5, 0, 0.1]},
     {"scheme": "o3", "lam": 2.0, "recon": [3, 0, 0.1]},
 ]
+PREBUILT = [
+    {"scheme": "o3", "lam": 0.5, "recon": [3, 0, -0.4], "prebuilt": True},
+    {"scheme": "lw5", "lam": 0.6, "recon": [5, 0, 0.1], "prebuilt": True},
+    {"scheme": "upwind", "lam": 0.7, "B": [[0.3, 0.2]], "prebuilt": True},
+]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
     "o3 R3,0 12x12": ("o3", 3, 0, (0.05, 1.0, 12), (-0.49, 0.49, 12)),
@@ -133,17 +140,20 @@ def run_check(inp: dict) -> dict:
     """The verdict, diagnostics and curve of one input, as JSON-ready values."""
     from klstab.boundary import ReconstructionSpec
     from klstab.scheme import template
-    from klstab.verdict import _check
+    from klstab.verdict import _build_boundary, _check
 
     if "recon" in inp:
         spec = ReconstructionSpec(*inp["recon"])
     else:
         spec = np.array(inp["B"], dtype=float)
+    tmpl = template(inp["scheme"])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if inp.get("prebuilt"):
+                spec = _build_boundary(spec, tmpl(inp["lam"]))
             n_init = inp.get("n_init", N_INIT)
-            verdict, curve = _check(template(inp["scheme"]), spec, inp["lam"], n_init)
+            verdict, curve = _check(tmpl, spec, inp["lam"], n_init)
     except Exception as exc:  # a raise or a warning is an output to compare
         return {
             "status": f"raised {type(exc).__name__}",
@@ -189,7 +199,8 @@ def record_maps() -> tuple[dict[str, str], dict[str, list[dict]]]:
 
 
 def record() -> dict:
-    inputs = check_inputs(COUNT) + EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE
+    fixed = EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE + PREBUILT
+    inputs = check_inputs(COUNT) + fixed
     checks = [run_check(inp) for inp in inputs]
     csvs, cells = record_maps()
     return {"inputs": inputs, "checks": checks, "maps": csvs, "map_cells": cells}
