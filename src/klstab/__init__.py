@@ -21,8 +21,6 @@ from .crosscheck import (
 )
 from .kldet import (
     KLCurve,
-    StableRootSet,
-    VandermondeBasis,
     basis_matrices,
     delta,
     delta_reference,
@@ -73,10 +71,8 @@ __all__ = [
     "SchemeTemplate",
     "SimulationRun",
     "StabilityVerdict",
-    "StableRootSet",
     "SweepGrid",
     "TEMPLATES",
-    "VandermondeBasis",
     "WindingResult",
     "assemble_quasi_toeplitz",
     "basis_matrices",

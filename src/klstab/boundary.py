@@ -140,6 +140,7 @@ class BoundaryCondition:
     B: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
         if self.B.ndim != 2:
             raise ShapeMismatch(f"B must be r x m, got {self.B.shape}")
         if not np.all(np.isfinite(self.B)):

@@ -116,7 +116,7 @@ def run(args: argparse.Namespace) -> int:
     scheme = tmpl(lam)
     bc = _build_boundary(family(sigma), scheme)
     f = np.zeros(args.grid_size)
-    g = np.zeros((args.steps, scheme.r))
+    g = np.zeros((max(args.steps, 0), scheme.r))
     g[:1, -1] = 1.0  # an impulse at step 0; simulate refuses N < 1
     run_out = simulate(scheme, bc, f, g, args.steps)
     if args.out:

@@ -75,8 +75,8 @@ def simulate(
 
     ``f`` is the initial row (length J >= m+p); ``g`` is None or an (N, r)
     array of ghost data rows (g_{-r}, ..., g_{-1}) used at steps 0..N-1.  A
-    norm above 1e100 stops the march and flags blow-up (that is a result, not
-    an error).
+    norm above 1e100, or not finite, stops the march and flags blow-up (that
+    is a result, not an error).
     """
     f = np.asarray(f, dtype=float)
     J = len(f)
@@ -98,19 +98,21 @@ def simulate(
     blew_up = False
     completed = 0
     coeffs = s.coeff_array()
-    for n in range(N):
-        ghosts = bc.B @ u[: bc.m] + g[n]
-        ext = np.concatenate([ghosts, u, np.zeros(s.p)])
-        nxt = np.zeros(J)
-        for k in range(-s.r, s.p + 1):
-            nxt += coeffs[k + s.r] * ext[s.r + k : s.r + k + J]
-        u = nxt
-        completed = n + 1
-        history[completed] = u
-        norms[completed] = float(np.linalg.norm(u))
-        if norms[completed] > BLOWUP_NORM:
-            blew_up = True
-            break
+    # a huge B overflows the march; its norm, inf or nan, then reads as blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            ghosts = bc.B @ u[: bc.m] + g[n]
+            ext = np.concatenate([ghosts, u, np.zeros(s.p)])
+            nxt = np.zeros(J)
+            for k in range(-s.r, s.p + 1):
+                nxt += coeffs[k + s.r] * ext[s.r + k : s.r + k + J]
+            u = nxt
+            completed = n + 1
+            history[completed] = u
+            norms[completed] = float(np.linalg.norm(u))
+            if not norms[completed] <= BLOWUP_NORM:
+                blew_up = True
+                break
     return SimulationRun(
         J=J,
         N=N,

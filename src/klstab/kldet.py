@@ -55,36 +55,6 @@ MAX_REFINE_DEPTH = 20
 MIN_INIT_SAMPLES = 64
 ORIGIN_RESOLUTION = 1e-13
 
-STRICT_INSIDE = "strict_inside"
-CONTINUED = "continued_from_inside"
-
-
-@dataclass(frozen=True)
-class StableRootSet:
-    """The r roots taken at z, with the monic coefficients of their product.
-
-    ``sigmas`` are ascending: prod (X - kappa_j) = X^r + sigmas[r-1] X^{r-1}
-    + ... + sigmas[0].  ``provenance`` tags each root strict_inside or
-    continued_from_inside.
-    """
-
-    z: complex
-    roots: tuple[complex, ...]
-    sigmas: tuple[complex, ...]
-    provenance: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class VandermondeBasis:
-    """Power-basis extraction matrices for the stable roots (distinct or clustered).
-
-    Column q of a cluster with representative kappa holds n^q kappa^n in row n.
-    """
-
-    z: complex
-    K_top: np.ndarray
-    K_full: np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class KLCurve:
@@ -137,8 +107,9 @@ def sigmas_from_roots(roots) -> tuple[complex, ...]:
     return tuple(_monic_product(np.asarray(roots, dtype=complex).reshape(1, -1))[0])
 
 
-def select_stable_roots(s: Scheme, z: complex, roots) -> StableRootSet:
-    """The r roots of P_z inside (or continued from inside) the unit disk.
+def select_stable_roots(s: Scheme, z: complex, roots) -> np.ndarray:
+    """The r roots of P_z inside (or continued from inside) the unit disk,
+    as an array sorted by (real, imag).
 
     ``roots`` holds every root of P_z; nothing is solved here.  Clusters
     clearly inside the disk are taken, clusters clearly outside are left, and
@@ -152,18 +123,13 @@ def select_stable_roots(s: Scheme, z: complex, roots) -> StableRootSet:
     z = complex(z)
     if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
-    chosen, tags = _select(s, z, np.asarray(roots, dtype=complex))
-    pairs = sorted(zip(chosen, tags), key=lambda pair: (pair[0].real, pair[0].imag))
-    chosen, tags = zip(*pairs)
-    return StableRootSet(
-        z=z, roots=chosen, sigmas=sigmas_from_roots(chosen), provenance=tags
-    )
+    chosen = _select(s, z, np.asarray(roots, dtype=complex))
+    return np.array(sorted(chosen, key=lambda x: (x.real, x.imag)))
 
 
 def _select(s, z, roots):
     moduli = np.abs(roots)
     chosen: list[complex] = []
-    tags: list[str] = []
     for idx in _cluster_indices(roots):
         mods = moduli[idx]
         # A multi-root cluster hugging the circle may be a split multiple root
@@ -172,7 +138,6 @@ def _select(s, z, roots):
         band = TOL_UNIT if len(idx) == 1 else CLUSTER_TOL
         if np.max(mods) < 1.0 - band:
             chosen.extend(roots[i] for i in idx)
-            tags.extend([STRICT_INSIDE] * len(idx))
         elif np.min(mods) > 1.0 + band:
             continue
         else:
@@ -181,13 +146,12 @@ def _select(s, z, roots):
                 (roots[i] for i in idx), key=lambda x: (abs(x), x.real, x.imag)
             )
             chosen.extend(members[:count])
-            tags.extend([CONTINUED] * count)
     if len(chosen) != s.r:
         raise CauchyViolation(
             f"selected {len(chosen)} roots instead of r={s.r} at z={z}; "
             f"|roots|={sorted(moduli.tolist())}"
         )
-    return chosen, tags
+    return chosen
 
 
 def _roots_from_inside(s, z, roots, cluster_idx) -> int:
@@ -263,46 +227,31 @@ def delta(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     return complex(_delta_batch(build_calB(bc.B, s), zs, _stable_sigmas(s, zs))[0])
 
 
-def basis_matrices(
-    rootset: StableRootSet, rows: int, require_distinct: bool = False
-) -> VandermondeBasis:
-    """Extraction matrices of the stable-solution basis, rows 0..rows-1.
+def basis_matrices(roots, rows: int) -> np.ndarray:
+    """The rows x r power basis kappa_j^n, n = 0..rows-1, of r distinct roots.
 
-    Clustered roots get multiplicity columns n^q kappa^n about the cluster
-    representative; with ``require_distinct`` a cluster raises MultipleRoot
-    (callers skip the reference-determinant check at such z).
+    Clustered roots have no power basis: they raise MultipleRoot (callers skip
+    the reference-determinant check at such z).
     """
-    roots = np.array(rootset.roots)
-    r = len(roots)
-    if rows < r:
-        raise ShapeMismatch(f"rows={rows} below r={r}")
-    clusters = _cluster_indices(roots)
-    if require_distinct and any(len(c) > 1 for c in clusters):
-        raise MultipleRoot(f"clustered stable roots at z={rootset.z}")
-    ns = np.arange(rows)
-    cols = []
-    for idx in clusters:
-        kappa = complex(np.mean(roots[idx]))
-        powers = kappa**ns
-        for q in range(len(idx)):
-            weights = ns.astype(float) ** q if q else np.ones(rows)
-            cols.append(weights * powers)
-    k_full = np.column_stack(cols)
-    return VandermondeBasis(z=rootset.z, K_top=k_full[:r, :], K_full=k_full)
+    roots = np.asarray(roots, dtype=complex)
+    if rows < len(roots):
+        raise ShapeMismatch(f"rows={rows} below r={len(roots)}")
+    if len(_cluster_indices(roots)) < len(roots):
+        raise MultipleRoot(f"clustered stable roots {roots}")
+    return roots ** np.arange(rows)[:, None]
 
 
 def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
-    """Independent evaluation through the explicit basis matrices (distinct roots).
+    """Independent evaluation through the power basis K of the stable roots.
 
-    det(z K_top - calB K_full) / det(K_top); raises MultipleRoot when the
-    stable roots cluster, in which case the check is skipped at this z.
+    det(z K[:r] - calB K) / det(K[:r]) with K = ``basis_matrices(roots, bc.m)``;
+    raises MultipleRoot when the stable roots cluster, in which case the check
+    is skipped at this z.
     """
     roots = find_roots_many(_char_rows(s, np.array([complex(z)])))[0][0]
-    srs = select_stable_roots(s, z, roots)
-    basis = basis_matrices(srs, rows=bc.m, require_distinct=True)
-    num = np.linalg.det(z * basis.K_top - build_calB(bc.B, s) @ basis.K_full)
-    den = np.linalg.det(basis.K_top)
-    return complex(num / den)
+    K = basis_matrices(select_stable_roots(s, z, roots), rows=bc.m)
+    num = np.linalg.det(z * K[: s.r] - build_calB(bc.B, s) @ K)
+    return complex(num / np.linalg.det(K[: s.r]))
 
 
 def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
@@ -329,7 +278,7 @@ def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     sig = np.empty((len(zs), s.r), dtype=complex)
     sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, s.r))
     for i in np.flatnonzero(~fast):
-        sig[i] = select_stable_roots(s, complex(zs[i]), roots[i]).sigmas
+        sig[i] = sigmas_from_roots(select_stable_roots(s, zs[i], roots[i]))
     return sig
 
 

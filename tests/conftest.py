@@ -58,13 +58,14 @@ def brute_roots(coeffs_ascending) -> np.ndarray:
 
 
 def mp_delta(s, bc, z) -> complex:
-    """Third oracle: det(z K_top - calB K_full) / det(K_top) in mpmath, 40 digits.
+    """Third oracle: det(z K[:r] - calB K) / det(K[:r]) in mpmath, 40 digits.
 
     P_z's exactly-zero end coefficients are trimmed first: low ones are roots
     at 0, high ones roots at infinity; ``mp.polyroots`` finds the rest.  The r
-    roots inside the unit circle give the basis columns.  A repeated root gets
-    confluent columns C(n, q) kappa^(n-q), which span what basis_matrices'
-    n^q kappa^n span and stay independent at kappa = 0.
+    roots inside the unit circle give the basis columns of K.  A repeated root
+    gets confluent columns C(n, q) kappa^(n-q), which stay independent at
+    kappa = 0; ``delta_reference`` refuses repeated roots, so this is the
+    reference there.
     """
     with mp.workdps(40):
         cs = [mp.mpc(a) for a in s.coeff_array()]

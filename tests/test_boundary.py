@@ -232,10 +232,25 @@ def test_build_calB_shape_guards():
         build_calB(np.zeros((2, 2)), s)
 
 
-@pytest.mark.parametrize("B", [np.zeros(2), np.zeros(()), np.zeros((1, 2, 2))])
+@pytest.mark.parametrize("B", [np.zeros(2), np.zeros(()), np.zeros((1, 2, 2)), [0.5]])
 def test_boundary_condition_rejects_a_ghost_matrix_that_is_not_2d(B):
     with pytest.raises(ShapeMismatch):
         BoundaryCondition(B)
+
+
+def test_boundary_condition_converts_its_ghost_matrix():
+    # B is converted as from_matrix converts it
+    bc = BoundaryCondition([[0.5, 0.5]])
+    assert bc.B.dtype == float and bc.m == 2
+    assert np.array_equal(bc.B, [[0.5, 0.5]])
+
+
+def test_build_calB_refuses_a_calB_that_overflows():
+    # B is finite, but upwind's ghost weight a_{-1} = 1.5 at lambda 1.5 takes
+    # 1.7e308 past the largest float
+    with pytest.raises(ValueError) as info:
+        build_calB(np.array([[1.7e308, 0.0]]), template("upwind")(1.5))
+    assert str(info.value) == "ghost matrix B and its calB must be finite"
 
 
 def test_boundary_condition_from_reconstruction_minimal_m():
@@ -273,6 +288,21 @@ def test_parse_boundary_text_matrix():
         parse_boundary_text("matrix 2 2\n0.5 0.5\n")
     with pytest.raises(ValueError):
         parse_boundary_text("wedge 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty boundary description"),
+        ("reconstruction 3 0", "expected: reconstruction d k_d sigma"),
+        ("matrix 2", "expected: matrix r m"),
+        ("matrix 1 2\n1 2 3", "every matrix row must have 2 entries"),
+    ],
+)
+def test_parse_boundary_text_refuses_a_malformed_text(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_boundary_text(text)
+    assert str(info.value) == message
 
 
 def test_scheme_r_zero_boundary_needs_no_rows():

@@ -311,7 +311,7 @@ def test_sweep_rejects_a_range_without_a_count(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "steps, error",
-    [("0", "error: N must be >= 1\n"), ("-1", "error: ")],
+    [("0", "error: N must be >= 1\n"), ("-1", "error: N must be >= 1\n")],
 )
 def test_simulate_refuses_a_step_count_below_one(steps, error, capsys):
     code, out, err = run_cli(

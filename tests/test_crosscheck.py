@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,19 @@ def test_simulate_unstable_point_blows_up():
     run = simulate(s, bc, np.zeros(100), g, 500)
     assert run.blew_up
     assert run.completed_steps < 500
+
+
+def test_simulate_reports_an_overflowing_march_as_blow_up():
+    # the ghost value 1.7e308 * 0.5 is finite, but the norm of the step after
+    # it is not: that is blow-up, not a warning
+    s = template("upwind")(0.5)
+    bc = BoundaryCondition(np.array([[1.7e308, 0.5]]))
+    g = np.zeros((3, 1))
+    g[0, -1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = simulate(s, bc, np.zeros(20), g, 3)
+    assert run.blew_up
 
 
 def test_simulate_shape_guards():

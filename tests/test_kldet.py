@@ -1,8 +1,11 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import klstab.kldet
 from conftest import brute_roots, mp_delta, o3_Btilde_golden, recon_bc
@@ -14,9 +17,6 @@ from klstab.errors import (
     ShapeMismatch,
 )
 from klstab.kldet import (
-    CONTINUED,
-    STRICT_INSIDE,
-    StableRootSet,
     basis_matrices,
     delta,
     delta_reference,
@@ -28,7 +28,7 @@ from klstab.kldet import (
     write_curve_csv,
 )
 from klstab.poly import find_roots
-from klstab.scheme import Scheme, characteristic_polynomial, template
+from klstab.scheme import Scheme, characteristic_polynomial, hersh_split, template
 from klstab.verdict import STATUS_MARGINAL, check
 from klstab.winding import winding_number
 
@@ -50,19 +50,17 @@ def zero_boundary(s: Scheme, m: int) -> BoundaryCondition:
 def test_select_shift_scheme_on_circle():
     s = shift_scheme()
     z = np.exp(0.7j)
-    srs = select_stable_roots(s, z, roots_at(s, z))
-    assert len(srs.roots) == 1
-    assert srs.roots[0] == pytest.approx(1 / z, abs=1e-12)
-    assert srs.provenance == (CONTINUED,)
+    chosen = select_stable_roots(s, z, roots_at(s, z))
+    assert len(chosen) == 1
+    assert chosen[0] == pytest.approx(1 / z, abs=1e-12)
 
 
 def test_select_o3_at_z_one_resolves_unit_root():
     s = template("o3")(0.4)
-    srs = select_stable_roots(s, 1.0 + 0j, roots_at(s, 1.0))
-    assert len(srs.roots) == 2
-    mods = sorted(abs(x) for x in srs.roots)
+    chosen = select_stable_roots(s, 1.0 + 0j, roots_at(s, 1.0))
+    assert len(chosen) == 2
+    mods = sorted(abs(x) for x in chosen)
     assert mods[1] == pytest.approx(1.0, abs=1e-9)
-    assert CONTINUED in srs.provenance
 
 
 @pytest.mark.parametrize("name", ["o3", "lw5"])
@@ -71,30 +69,74 @@ def test_select_provenance_follows_its_root(name, order):
     # at z = 1 the consistent root kappa = 1 is continued from inside and the
     # rest are strictly inside, whatever order the roots arrive in
     s = template(name)(0.5)
-    srs = select_stable_roots(s, 1.0 + 0j, roots_at(s, 1.0)[::order])
-    on_circle = [abs(abs(x) - 1.0) <= 1e-9 for x in srs.roots]
+    roots = roots_at(s, 1.0)
+    chosen = select_stable_roots(s, 1.0 + 0j, roots[::order])
+    assert np.array_equal(chosen, select_stable_roots(s, 1.0 + 0j, roots[::-order]))
+    on_circle = [abs(abs(x) - 1.0) <= 1e-9 for x in chosen]
     assert sum(on_circle) == 1
-    assert [tag == CONTINUED for tag in srs.provenance] == on_circle
+    assert all(abs(x) < 1.0 - 1e-9 for x, on in zip(chosen, on_circle) if not on)
 
 
 def test_select_o3_exterior_matches_brute_force():
     s = template("o3")(0.4)
-    srs = select_stable_roots(s, 2.0 + 0j, roots_at(s, 2.0))
-    assert srs.provenance == (STRICT_INSIDE, STRICT_INSIDE)
+    chosen = select_stable_roots(s, 2.0 + 0j, roots_at(s, 2.0))
     oracle = brute_roots(characteristic_polynomial(s, 2.0).coefficients)
     inside = sorted(
         (x for x in oracle if abs(x) < 1), key=lambda x: (x.real, x.imag)
     )
-    assert np.allclose(srs.roots, inside, atol=1e-9)
+    assert np.allclose(chosen, inside, atol=1e-9)
     # elementary symmetric functions of the chosen roots
-    assert srs.sigmas[0] == pytest.approx(inside[0] * inside[1], abs=1e-9)
-    assert srs.sigmas[1] == pytest.approx(-(inside[0] + inside[1]), abs=1e-9)
+    sigmas = sigmas_from_roots(chosen)
+    assert sigmas[0] == pytest.approx(inside[0] * inside[1], abs=1e-9)
+    assert sigmas[1] == pytest.approx(-(inside[0] + inside[1]), abs=1e-9)
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_select_resolves_a_double_root_on_the_circle(z):
+    # naive_average at lambda 0.5: P_z = (kappa - z)^2 / 2 at z = +-1, which
+    # the root finder splits into one two-root cluster in the circle band;
+    # the Rouche count takes one of its roots
+    s = template("naive_average")(0.5)
+    roots = np.asarray(roots_at(s, z))
+    assert [len(c) for c in klstab.kldet._cluster_indices(roots)] == [2]
+    chosen = select_stable_roots(s, z, roots)
+    assert len(chosen) == 1
+    assert abs(chosen[0] - z) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["upwind", "o3", "lw5"]),
+    st.floats(0.01, 1.0),
+    st.floats(math.log(1.01), math.log(100.0)),
+    st.floats(0.0, 2.0 * math.pi),
+)
+@example("upwind", 1.0, 0.5, 1.0)
+@example("o3", 1.0, 0.5, 1.0)
+@example("lw5", 1.0, 0.5, 1.0)
+def test_select_off_the_circle_is_the_hersh_split(name, lam, log_modulus, theta):
+    # off the circle band the selection takes exactly the roots inside
+    s = template(name)(lam)
+    z = math.exp(log_modulus) * complex(math.cos(theta), math.sin(theta))
+    found = find_roots(characteristic_polynomial(s, z))
+    inside, _ = hersh_split(s, z, found)
+    expected = np.array(sorted(inside, key=lambda x: (x.real, x.imag)))
+    chosen = select_stable_roots(s, z, found.roots)
+    assert chosen.dtype == expected.dtype
+    assert chosen.tobytes() == expected.tobytes()
 
 
 def test_select_rejects_interior_z():
     with pytest.raises(ValueError):
         s = template("o3")(0.4)
         select_stable_roots(s, 0.5 + 0j, roots_at(s, 0.5))
+
+
+def test_delta_rejects_interior_z():
+    tmpl = template("o3")
+    with pytest.raises(ValueError) as info:
+        delta(tmpl(0.4), recon_bc(tmpl, 0.4, 3, 0, 0.0), 0.5)
+    assert str(info.value) == "|z| = 0.5 below the unit circle band"
 
 
 @pytest.mark.parametrize("modulus", [1.0, 1.02])
@@ -113,9 +155,9 @@ def test_select_picks_from_the_given_roots():
     s = template("o3")(0.4)
     for z in (2.0 + 0j, 1.5 * np.exp(0.8j), 1.0 + 0j, np.exp(2.1j)):
         given = brute_roots(characteristic_polynomial(s, z).coefficients)
-        srs = select_stable_roots(s, z, given)
-        assert len(srs.roots) == s.r
-        assert all(np.any(given == x) for x in srs.roots)
+        chosen = select_stable_roots(s, z, given)
+        assert len(chosen) == s.r
+        assert all(np.any(given == x) for x in chosen)
 
 
 def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
@@ -312,62 +354,35 @@ def test_delta_matches_mpmath_oracle(name, d, lam):
 
 
 def test_symmetric_function_consistency(rng):
-    # reduce_Btilde(calB, sigmas(z)) equals calB K_full K_top^{-1} pointwise
+    # reduce_Btilde(calB, sigmas(z)) equals calB K K[:r]^{-1} pointwise
     s = template("o3")(0.45)
     bc = recon_bc(template("o3"), 0.45, 3, 0, 0.4)
     for _ in range(20):
         z = float(rng.uniform(1.05, 5.0)) * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
-        srs = select_stable_roots(s, z, roots_at(s, z))
-        basis = basis_matrices(srs, rows=bc.m)
+        chosen = select_stable_roots(s, z, roots_at(s, z))
+        K = basis_matrices(chosen, rows=bc.m)
         calB = build_calB(bc.B, s)
-        expected = calB @ basis.K_full @ np.linalg.inv(basis.K_top)
-        bt = reduce_Btilde(calB, srs.sigmas)
+        expected = calB @ K @ np.linalg.inv(K[: s.r])
+        bt = reduce_Btilde(calB, sigmas_from_roots(chosen))
         assert np.max(np.abs(bt - expected)) <= 1e-8 * (1 + np.max(np.abs(expected)))
 
 
 def test_basis_matrices_distinct_roots():
-    srs = StableRootSet(
-        z=2.0 + 0j,
-        roots=(0.2 + 0j, 0.5 + 0j),
-        sigmas=sigmas_from_roots([0.2, 0.5]),
-        provenance=(STRICT_INSIDE, STRICT_INSIDE),
-    )
-    basis = basis_matrices(srs, rows=3)
-    assert np.allclose(basis.K_full, [[1, 1], [0.2, 0.5], [0.04, 0.25]])
-    assert np.allclose(basis.K_top, [[1, 1], [0.2, 0.5]])
+    K = basis_matrices([0.2, 0.5], rows=3)
+    assert np.allclose(K, [[1, 1], [0.2, 0.5], [0.04, 0.25]])
+    with pytest.raises(ShapeMismatch):
+        basis_matrices([0.2, 0.5], rows=1)
 
 
 def test_basis_matrices_single_root():
-    srs = StableRootSet(
-        z=2.0 + 0j,
-        roots=(0.5 + 0j,),
-        sigmas=(-0.5 + 0j,),
-        provenance=(STRICT_INSIDE,),
-    )
-    basis = basis_matrices(srs, rows=2)
-    assert np.allclose(basis.K_full, [[1], [0.5]])
+    assert np.allclose(basis_matrices([0.5], rows=2), [[1], [0.5]])
 
 
 def test_basis_matrices_double_root_columns():
+    # a double root has no power basis; mp_delta's confluent columns cover it
     kappa = 0.4 + 0.1j
-    srs = StableRootSet(
-        z=1.0 + 0j,
-        roots=(kappa, kappa),
-        sigmas=sigmas_from_roots([kappa, kappa]),
-        provenance=(CONTINUED, CONTINUED),
-    )
-    basis = basis_matrices(srs, rows=4)
-    expected = np.array(
-        [
-            [1, 0],
-            [kappa, kappa],
-            [kappa**2, 2 * kappa**2],
-            [kappa**3, 3 * kappa**3],
-        ]
-    )
-    assert np.allclose(basis.K_full, expected)
     with pytest.raises(MultipleRoot):
-        basis_matrices(srs, rows=4, require_distinct=True)
+        basis_matrices([kappa, kappa], rows=4)
 
 
 def test_kl_curve_zero_boundary_winds_r_times():
@@ -535,6 +550,15 @@ def test_read_curve_csv_needs_two_samples(rows, tmp_path):
     path.write_text("\n".join(["theta,re,im,depth", *rows]) + "\n")
     with pytest.raises(ValueError, match="at least 2 samples"):
         read_curve_csv(str(path))
+
+
+@pytest.mark.parametrize("header", ["theta,re,im", "re,im,theta,depth"])
+def test_read_curve_csv_refuses_a_wrong_header(header, tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text(header + "\n0,1,0,0\n1,0,1,0\n")
+    with pytest.raises(ValueError) as info:
+        read_curve_csv(str(path))
+    assert str(info.value) == f"unexpected curve CSV header: {header!r}"
 
 
 def test_kl_curve_certifies_its_last_round(tmp_path):

@@ -87,6 +87,13 @@ def test_argument_principle_random_polynomials(rng):
         done += 1
 
 
+@pytest.mark.parametrize("samples", [[1.0 + 0j], []])
+def test_winding_number_needs_two_samples(samples):
+    with pytest.raises(ValueError) as info:
+        winding_number(samples)
+    assert str(info.value) == "need at least 2 samples"
+
+
 def test_origin_sample_rejected():
     with pytest.raises(OriginOnCurve):
         winding_number([1.0, 0.0, -1.0])
