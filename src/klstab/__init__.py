@@ -13,7 +13,6 @@ from .boundary import (
     reconstruction_matrices,
 )
 from .crosscheck import (
-    QuasiToeplitzMatrix,
     SimulationRun,
     assemble_quasi_toeplitz,
     simulate,
@@ -30,12 +29,7 @@ from .kldet import (
     select_stable_roots,
     write_curve_csv,
 )
-from .poly import (
-    ComplexPolynomial,
-    RootSet,
-    find_roots,
-    min_modulus_on_circle,
-)
+from .poly import find_roots, min_modulus_on_circle
 from .scheme import (
     CauchyReport,
     Scheme,
@@ -62,11 +56,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCondition",
     "CauchyReport",
-    "ComplexPolynomial",
     "KLCurve",
-    "QuasiToeplitzMatrix",
     "ReconstructionSpec",
-    "RootSet",
     "Scheme",
     "SchemeTemplate",
     "SimulationRun",

@@ -68,7 +68,11 @@ def reconstruction_matrices(
     """Ghost-side and interior-side Taylor-average matrices (Y_minus, Y_plus)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    w = spec.width
+    w, d, sigma = spec.width, spec.d, spec.sigma
+    try:  # the largest power and factorial below, tried before Y_plus is allocated
+        max(w - 0.5 - sigma, r + 0.5 + sigma) ** d / math.factorial(d)
+    except OverflowError:
+        raise ValueError(f"order d = {d} overflows the cell averages") from None
     y_minus = np.empty((r, w))
     y_plus = np.empty((w, w))
     for j in range(1, w + 1):

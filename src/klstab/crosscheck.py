@@ -21,14 +21,6 @@ BLOWUP_NORM = 1e100
 
 
 @dataclass(frozen=True, eq=False)
-class QuasiToeplitzMatrix:
-    """J x J truncation: first r rows carry calB, the rest the interior band."""
-
-    J: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SimulationRun:
     """March record: history rows 0..completed_steps, per-step l2 norms."""
 
@@ -41,9 +33,8 @@ class SimulationRun:
     completed_steps: int
 
 
-def assemble_quasi_toeplitz(
-    s: Scheme, bc: BoundaryCondition, J: int
-) -> QuasiToeplitzMatrix:
+def assemble_quasi_toeplitz(s: Scheme, bc: BoundaryCondition, J: int) -> np.ndarray:
+    """J x J truncation: the first r rows carry calB, the rest the interior band."""
     if J < bc.m + s.p:
         raise ShapeMismatch(f"J={J} must be >= m+p={bc.m + s.p}")
     M = np.zeros((J, J))
@@ -53,13 +44,13 @@ def assemble_quasi_toeplitz(
             j = i + k
             if 0 <= j < J:
                 M[i, j] = s.coeffs[k]
-    return QuasiToeplitzMatrix(J=J, entries=M)
+    return M
 
 
-def spectral_radius(M: QuasiToeplitzMatrix) -> float:
-    """Dominant eigenvalue modulus of the truncated operator."""
+def spectral_radius(M: np.ndarray) -> float:
+    """Dominant eigenvalue modulus of the truncated operator M."""
     try:
-        return float(np.max(np.abs(np.linalg.eigvals(M.entries))))
+        return float(np.max(np.abs(np.linalg.eigvals(M))))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 

@@ -10,18 +10,19 @@ circle band are resolved by a Rouche perturbation: nudge z radially outward by
 half the certified radius and count how many nearby roots land inside the
 disk, i.e. how many members of the cluster arrived from the inside.
 
-Each kernel has one implementation over a batch of z values: characteristic
-rows (``_char_rows``), the monic product (``_monic_product``), the column fold
-(``_fold_columns``) and the determinant (``_delta_batch``).  The scalar names
-``sigmas_from_roots``, ``reduce_Btilde`` and ``delta`` are one-row calls of
-them.  The roots and their sigma(z) depend only on the scheme and z; the
-boundary enters only through the fold.  So ``kl_curve`` keeps the sigma(z)
-rows of its initial grid in the scheme's ``grid_sigmas``, which every boundary
-traced on that Scheme instance (a sweep's lambda row) reads.  The coefficients
-are real, so D(conj z) = conj D(z): ``kl_curve`` traces and refines only the
-upper half of the circle, from z = 1 to z = -1, and mirrors it.  Points whose
-roots all sit clear of the circle take r inside roots directly; the rest pass
-their already-solved roots, one point at a time, to ``select_stable_roots``.
+Each kernel has one implementation over a batch of z values: the rows of P_z
+(``scheme.characteristic_polynomial``), the monic product (``_monic_product``),
+the column fold (``_fold_columns``) and the determinant (``_delta_batch``).
+The scalar names ``sigmas_from_roots``, ``reduce_Btilde`` and ``delta`` are
+one-row calls of them.  The roots and their sigma(z) depend only on the scheme
+and z; the boundary enters only through the fold.  So ``kl_curve`` keeps the
+sigma(z) rows of its initial grid in the scheme's ``grid_sigmas``, which every
+boundary traced on that Scheme instance (a sweep's lambda row) reads.  The
+coefficients are real, so D(conj z) = conj D(z): ``kl_curve`` traces and
+refines only the upper half of the circle, from z = 1 to z = -1, and mirrors
+it.  Points whose roots all sit clear of the circle take r inside roots
+directly; the rest pass their already-solved roots, one point at a time, to
+``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -179,7 +180,7 @@ def _roots_from_inside(s, z, roots, cluster_idx) -> int:
             f"perturbation radius eta={eta} too small to certify counts at z={z}"
         )
     z_out = (1.0 + eta / 2.0) * z
-    moved = find_roots_many(_char_rows(s, np.array([z_out])))[0][0]
+    moved = find_roots_many(characteristic_polynomial(s, np.array([z_out])))[0]
     count = int(np.sum((np.abs(moved - center) < eps) & (np.abs(moved) < 1.0)))
     if count > len(members):
         raise SelectionFailure(
@@ -248,18 +249,10 @@ def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
     raises MultipleRoot when the stable roots cluster, in which case the check
     is skipped at this z.
     """
-    roots = find_roots_many(_char_rows(s, np.array([complex(z)])))[0][0]
+    roots = find_roots_many(characteristic_polynomial(s, np.array([complex(z)])))[0]
     K = basis_matrices(select_stable_roots(s, z, roots), rows=bc.m)
     num = np.linalg.det(z * K[: s.r] - build_calB(bc.B, s) @ K)
     return complex(num / np.linalg.det(K[: s.r]))
-
-
-def _char_rows(s: Scheme, zs: np.ndarray) -> np.ndarray:
-    """Ascending rows of P_z, one per z; zero top columns they share (lw5's a_p
-    at integer lambda) are roots at infinity, which ``find_roots_many`` drops."""
-    rows = np.tile(s.char_row, (len(zs), 1))
-    rows[:, s.r] -= zs
-    return rows
 
 
 def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
@@ -269,7 +262,7 @@ def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     the circle band, r of them inside, takes the batched split; any other
     point goes through select_stable_roots.
     """
-    roots = find_roots_many(_char_rows(s, zs))[0]
+    roots = find_roots_many(characteristic_polynomial(s, zs))
     moduli = np.abs(roots)
     inside = moduli < 1.0 - TOL_UNIT
     clear = np.abs(moduli - 1.0) > CLUSTER_TOL

@@ -1,4 +1,4 @@
-"""Complex polynomials, simultaneous root finding, and min |p| on a circle.
+"""Simultaneous root finding and min |p| on a circle for coefficient arrays.
 
 Roots are found by Aberth-Ehrlich simultaneous iteration.  Initial radii come
 from the Newton-diagram diagonal (adjacent coefficient ratios clipped to the
@@ -6,11 +6,10 @@ Cauchy root bounds), so polynomials whose root magnitudes span many orders
 still converge within the sweep budget.  Roots at 0 and at infinity (runs of
 zero low- or high-order coefficients) are split off exactly.  A batched
 variant solves many same-degree polynomials; the scalar entry point delegates.
+A polynomial is its row of complex coefficients in ascending degree order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,47 +21,6 @@ ROUCHE_SAMPLES = 512
 _STEP_TOL = 1e-13
 _ROUCHE_CIRCLE = np.exp(np.linspace(0.0, 2j * np.pi, ROUCHE_SAMPLES, endpoint=False))
 _ROUCHE_CIRCLE.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Polynomial with complex coefficients in ascending degree order.
-
-    Trailing (highest-degree) zero coefficients are trimmed on construction, so
-    the leading coefficient is nonzero and ``degree == len(coefficients) - 1``.
-    """
-
-    coefficients: tuple[complex, ...]
-
-    def __init__(self, coefficients):
-        coeffs = [complex(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs or all(c == 0 for c in coeffs):
-            raise ValueError("polynomial must have a nonzero coefficient")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All roots of a polynomial, repetition for multiplicity.
-
-    ``residual`` is the largest backward-error-normalized residual
-    max |P(x)| / sum_k |c_k||x|^k over the returned roots (dimensionless).
-    """
-
-    roots: tuple[complex, ...]
-    residual: float
 
 
 def _initial_guesses(monic_rows: np.ndarray) -> np.ndarray:
@@ -94,7 +52,7 @@ def _horner_many(coeff_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def find_roots_many(coeff_rows: np.ndarray) -> np.ndarray:
     """Aberth-Ehrlich on a batch of same-degree polynomials.
 
     Parameters
@@ -103,18 +61,20 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Columns of zeros shared by the whole batch are exact roots: at the bottom
     roots at 0, returned as 0, at the top roots at infinity, dropped (d counts
-    what is left).  A row whose own leading coefficient is zero raises
-    ValueError.  Each row iterates until its own Aberth step falls below
-    _STEP_TOL, so a row's roots depend only on its coefficients, bit for bit,
-    whatever batch it is solved in.  Raises NonConvergence when a monic row is
-    not finite or a backward-error residual exceeds ROOT_TOL.
+    what is left).  A coefficient that is not finite, or a row whose own
+    leading coefficient is zero, raises ValueError.  Each row iterates until
+    its own Aberth step falls below _STEP_TOL, so a row's roots depend only on
+    its coefficients, bit for bit, whatever batch it is solved in.  Raises
+    NonConvergence when a monic row is not finite or a backward-error residual
+    max |P(x)| / sum_k |c_k||x|^k over a row's roots exceeds ROOT_TOL.
 
     Returns
     -------
     roots : (n, d) array, each row sorted by (real, imag).
-    residuals : (n,) worst normalized residual per row.
     """
     rows = np.asarray(coeff_rows, dtype=complex)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("polynomial coefficients must be finite")
     top = rows.shape[1]
     while top > 1 and not np.any(rows[:, top - 1]):
         top -= 1
@@ -129,12 +89,10 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_zero = 0
     while n_zero < w - 1 and np.all(rows[:, n_zero] == 0):
         n_zero += 1
-    full_degree = w - 1
     rows = rows[:, n_zero:]
     d = rows.shape[1] - 1
     if d == 0:
-        zeros = np.zeros((n, full_degree), dtype=complex)
-        return zeros, np.zeros(n)
+        return np.zeros((n, w - 1), dtype=complex)
     eye = np.eye(d, dtype=bool)
     active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -165,33 +123,32 @@ def find_roots_many(coeff_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     break
                 active, xa, ma, da = active[going], xa[going], ma[going], da[going]
 
-    scale = np.zeros(x.shape, dtype=float)
-    ax = np.abs(x)
-    for k in range(d + 1):
-        scale += np.abs(monic[:, k, None]) * ax**k
-    resid = np.abs(_horner_many(monic, x)) / np.where(scale == 0, 1.0, scale)
-    worst = resid.max(axis=1)
-    if not np.all(np.isfinite(x)) or not (np.max(worst) <= ROOT_TOL):
+        scale = np.zeros(x.shape, dtype=float)
+        ax = np.abs(x)
+        for k in range(d + 1):
+            scale += np.abs(monic[:, k, None]) * ax**k
+        resid = np.abs(_horner_many(monic, x)) / np.where(scale == 0, 1.0, scale)
+        worst = np.max(resid)  # nan where a root's d-th power overflows
+    if not np.all(np.isfinite(x)) or not (worst <= ROOT_TOL):
         raise NonConvergence(
-            f"root iteration residual {np.max(worst):.3e} exceeds tol {ROOT_TOL:.3e}"
+            f"root iteration residual {worst:.3e} exceeds tol {ROOT_TOL:.3e}"
         )
     if n_zero:
         x = np.concatenate([np.zeros((n, n_zero), dtype=complex), x], axis=1)
     order = np.lexsort((x.imag, x.real), axis=1)
-    x = np.take_along_axis(x, order, axis=1)
-    return x, worst
+    return np.take_along_axis(x, order, axis=1)
 
 
-def find_roots(p: ComplexPolynomial) -> RootSet:
-    """All ``degree`` roots of ``p``, deterministic and sorted by (real, imag)."""
-    roots, resid = find_roots_many(np.array([p.coefficients], dtype=complex))
-    return RootSet(roots=tuple(roots[0]), residual=float(resid[0]))
+def find_roots(coeffs) -> np.ndarray:
+    """All roots of the ascending coefficient row ``coeffs``, sorted by (real, imag);
+    trailing zeros are roots at infinity, dropped, and a constant raises ValueError."""
+    return find_roots_many(np.array([coeffs], dtype=complex))[0]
 
 
-def min_modulus_on_circle(p: ComplexPolynomial, center: complex, radius: float) -> float:
+def min_modulus_on_circle(coeffs, center: complex, radius: float) -> float:
     """min |p| at ROUCHE_SAMPLES equispaced points of |x − center| = radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     pts = center + radius * _ROUCHE_CIRCLE
-    vals = _horner_many(np.array([p.coefficients], dtype=complex), pts[None, :])
+    vals = _horner_many(np.array([coeffs], dtype=complex), pts[None, :])
     return float(np.min(np.abs(vals)))

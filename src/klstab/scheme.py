@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import SeparationFailure
-from .poly import ComplexPolynomial, RootSet
 
 CONSISTENCY_TOL = 1e-12
 TOL_UNIT = 1e-9
@@ -41,9 +40,10 @@ class Scheme:
 
     Each instance keeps, from first use, what every boundary traced on it (a
     sweep's lambda row) reads: the ``cauchy`` report; ``build_calB``'s read-only
-    ``stencil``, a_k at row i, column r+i+k; ``_char_rows``' read-only
-    ``char_row``; ``grid_sigmas``, the sigma(z) rows of ``kl_curve``'s initial
-    grid, z = 1 to -1, by n_init.  None takes part in equality or the repr.
+    ``stencil``, a_k at row i, column r+i+k; ``characteristic_polynomial``'s
+    read-only ``char_row``; ``grid_sigmas``, the sigma(z) rows of
+    ``kl_curve``'s initial grid, z = 1 to -1, by n_init.  None takes part in
+    equality or the repr.
     """
 
     r: int
@@ -120,16 +120,18 @@ def is_cauchy_stable(s: Scheme) -> CauchyReport:
     return s.cauchy
 
 
-def characteristic_polynomial(s: Scheme, z: complex) -> ComplexPolynomial:
-    cs = s.char_row.copy()  # P_z(kappa) = sum a_k kappa^{r+k} - z kappa^r
-    cs[s.r] -= z
-    return ComplexPolynomial(cs)
+def characteristic_polynomial(s: Scheme, z) -> np.ndarray:
+    """Ascending coefficients of P_z(kappa) = sum a_k kappa^{r+k} - z kappa^r: one
+    row for a scalar z, one per z of a 1-D array.  Zero top coefficients (lw5's
+    a_p at integer lambda) are roots at infinity, which the root finders drop."""
+    zs = np.asarray(z, dtype=complex)
+    rows = np.tile(s.char_row, zs.shape + (1,))
+    rows[..., s.r] -= zs
+    return rows
 
 
-def hersh_split(
-    s: Scheme, z: complex, roots: RootSet
-) -> tuple[list[complex], list[complex]]:
-    """Partition characteristic roots into (inside D, outside D) for |z| > 1.
+def hersh_split(s: Scheme, z: complex, roots) -> tuple[list[complex], list[complex]]:
+    """Partition the roots of P_z into (inside D, outside D) for |z| > 1.
 
     Exactly r roots must fall strictly inside and p outside; a degree deficit of
     P_z (leading coefficients exactly zero) counts as outside roots at infinity.
@@ -139,12 +141,12 @@ def hersh_split(
     if abs(z) <= 1.0 + TOL_UNIT:
         raise ValueError("hersh_split requires |z| > 1 + TOL_UNIT")
     inside, outside = [], []
-    for x in roots.roots:
+    for x in roots:
         m = abs(x)
         if abs(m - 1.0) <= TOL_UNIT:
             raise SeparationFailure(f"root {x} lies on the unit circle band at z={z}")
         (inside if m < 1.0 else outside).append(x)
-    deficit = (s.r + s.p) - len(roots.roots)
+    deficit = (s.r + s.p) - len(roots)
     if len(inside) != s.r or len(outside) + deficit != s.p:
         raise SeparationFailure(
             f"expected ({s.r}, {s.p}) roots, found ({len(inside)}, "

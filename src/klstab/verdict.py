@@ -107,9 +107,10 @@ def check(
     diagnostic names its theta and |D|; or refinement left the curve uncertified.
     invalid_precondition covers a lambda the template rejects (not finite and
     positive, or with coefficients that overflow or are not finite) or below
-    LAMBDA_MIN, bad n_init, Cauchy failures, r = 0, a ghost matrix (prebuilt or
-    not) not r x m with m >= p + r, a B or calB not finite, and selection
-    breakdowns (diagnostics say which); a prebuilt boundary checks as its B.
+    LAMBDA_MIN, bad n_init, Cauchy failures, r = 0, a reconstruction order that
+    overflows, a ghost matrix (prebuilt or not) not r x m with m >= p + r, a B
+    or calB not finite, and selection or root-finding breakdowns (diagnostics
+    say which); a prebuilt boundary checks as its B.
     """
     return _check(s_template, bc_spec, lam, n_init, max_depth)[0]
 
@@ -177,7 +178,8 @@ def sweep(
     sigma_values: Sequence[float],
     n_init: int = 256,
 ) -> SweepGrid:
-    """One check per cell; cells never abort the sweep.
+    """One check per cell; a check never aborts the sweep, but ``bc_family``
+    raising for a sigma (a ReconstructionSpec refuses one outside [-1/2, 1/2)) does.
 
     Each lambda row builds its scheme once, so the row's cells share its
     Cauchy report and initial grid sigma(z) rows.  A cell's verdict equals that of

@@ -45,8 +45,9 @@ def needs_refinement(a, b):
 
     Either the argument change strictly exceeds a quarter turn, which is
     Re(conj(a) b) < 0 and needs no angle, or the segment passes within
-    max(1e-12, 0.1 * min(|a|, |b|)) of the origin.  Two scalars give a bool;
-    arrays give a flag array of their broadcast shape.
+    max(1e-12, 0.1 * min(|a|, |b|)) of the origin, or an end is 0 or not
+    finite.  Two scalars give a bool; arrays give a flag array of their
+    broadcast shape.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -60,22 +61,25 @@ def needs_refinement(a, b):
         t = np.clip(-(a.real * dx + a.imag * dy) / denom, 0.0, 1.0)
         t = np.where(denom == 0.0, 0.0, t)
         dist = np.hypot(a.real + t * dx, a.imag + t * dy)
-        threshold = np.maximum(
-            PROXIMITY_FLOOR, PROXIMITY_FRACTION * np.minimum(mod_a, mod_b)
-        )
-        flags = (mod_a == 0.0) | (mod_b == 0.0) | turn | (dist < threshold)
+        near = np.minimum(mod_a, mod_b)
+        threshold = np.maximum(PROXIMITY_FLOOR, PROXIMITY_FRACTION * near)
+        ends = (near > 0.0) & (np.maximum(mod_a, mod_b) < np.inf)
+        flags = ~ends | turn | (dist < threshold)
     return bool(flags) if flags.ndim == 0 else flags
 
 
 def winding_number(samples) -> WindingResult:
     """Winding number of the origin for the closed polygon through ``samples``.
 
-    The last sample connects back to the first.  Raises OriginOnCurve when a
-    sample (modulus below 1e-300) or a segment passes exactly through 0.
+    The last sample connects back to the first.  Raises ValueError for fewer
+    than 2 samples or one that is not finite, and OriginOnCurve when a sample
+    (modulus below 1e-300) or a segment passes exactly through 0.
     """
     pts = np.asarray(samples, dtype=complex)
     if len(pts) < 2:
         raise ValueError("need at least 2 samples")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("samples must be finite")
     mods = np.hypot(pts.real, pts.imag)
     at_origin = np.flatnonzero(mods < ORIGIN_EPS)
     if len(at_origin):

@@ -169,7 +169,7 @@ def test_criterion_5_hersh_at_scale():
             for z in radii * np.exp(1j * angles):
                 rs = find_roots(characteristic_polynomial(s, z))
                 inside, outside = hersh_split(s, z, rs)
-                deficit = s.r + s.p - len(rs.roots)
+                deficit = s.r + s.p - len(rs)
                 assert len(inside) == s.r and len(outside) + deficit == s.p
                 count += 1
     report(5, True, f"{count} root splits all returned exactly (r, p)")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from klstab.boundary import (
 )
 from klstab.errors import ShapeMismatch, SingularYPlus
 from klstab.scheme import Scheme, template
-from klstab.verdict import STATUS_MARGINAL, check
+from klstab.verdict import STATUS_INVALID, STATUS_MARGINAL, check
 
 
 def test_reconstruction_spec_validation():
@@ -251,6 +252,37 @@ def test_build_calB_refuses_a_calB_that_overflows():
     with pytest.raises(ValueError) as info:
         build_calB(np.array([[1.7e308, 0.0]]), template("upwind")(1.5))
     assert str(info.value) == "ghost matrix B and its calB must be finite"
+
+
+@pytest.mark.parametrize("d, k_d", [(144, -1), (150, 0), (20000, 0), (171, 169)])
+@pytest.mark.parametrize("name", ["upwind", "o3", "lw5"])
+def test_reconstruction_refuses_an_order_that_overflows(name, d, k_d):
+    # the largest cell average's power (or d!) is beyond a double; the order
+    # is refused by name before the (w, w) matrix is allocated
+    s = template(name)(0.5)
+    spec = ReconstructionSpec(d, k_d, 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            BoundaryCondition.from_reconstruction(spec, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"order d = {d} overflows the cell averages"
+    assert peak < 1_000_000
+    v = check(template(name), spec, 0.5)
+    assert v.status == STATUS_INVALID
+    assert v.error == f"ValueError: order d = {d} overflows the cell averages"
+
+
+def test_reconstruction_of_the_highest_order_that_fits_is_not_refused():
+    # R143,-1 still builds its averages, at sigma = -1/2 too, where its largest
+    # power is exactly 143^143: the order guard is not a cap
+    spec = ReconstructionSpec(143, -1, -0.5)
+    y_minus, y_plus = reconstruction_matrices(spec, 3)
+    assert np.all(np.isfinite(y_minus)) and np.all(np.isfinite(y_plus))
+    with pytest.raises(SingularYPlus):
+        reconstruction_B(spec, 3, 143)
 
 
 def test_boundary_condition_from_reconstruction_minimal_m():

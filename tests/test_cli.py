@@ -299,6 +299,30 @@ def test_curve_requires_out(capsys):
     assert (code, out, err) == (1, "", "error: curve requires --out\n")
 
 
+def test_sweep_aborts_on_a_sigma_the_boundary_refuses(tmp_path, capsys):
+    # a check never aborts a sweep, but the boundary family raising does
+    out_csv = tmp_path / "map.csv"
+    code, out, err = run_cli(
+        ["sweep", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "0.5",
+         "--sigma", "-0.6:0.4:3", "--out", str(out_csv)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: sigma must lie in [-1/2, 1/2)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("boundary", ["R144,-1", "R150,0", "R20000,0"])
+def test_an_order_that_overflows_is_refused_by_check_and_simulate(boundary, capsys):
+    args = ["--scheme", "o3", "--boundary", boundary, "--sigma", "0.1",
+            "--lambda", "0.5"]
+    code, out, err = run_cli(["check"] + args, capsys)
+    assert (code, out, err) == (0, "status=invalid_precondition winding=na zeros=na\n", "")
+    code, out, err = run_cli(["simulate"] + args + ["--grid-size", "20"], capsys)
+    d = boundary[1:].split(",")[0]
+    assert (code, out, err) == (1, "", f"error: order d = {d} overflows the cell averages\n")
+
+
 def test_sweep_rejects_a_range_without_a_count(tmp_path, capsys):
     code, out, err = run_cli(
         ["sweep", "--scheme", "o3", "--boundary", "R3,0", "--lambda", "0:1",

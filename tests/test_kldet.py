@@ -38,7 +38,7 @@ def shift_scheme():
 
 
 def roots_at(s, z):
-    return find_roots(characteristic_polynomial(s, z)).roots
+    return find_roots(characteristic_polynomial(s, z))
 
 
 def zero_boundary(s: Scheme, m: int) -> BoundaryCondition:
@@ -80,7 +80,7 @@ def test_select_provenance_follows_its_root(name, order):
 def test_select_o3_exterior_matches_brute_force():
     s = template("o3")(0.4)
     chosen = select_stable_roots(s, 2.0 + 0j, roots_at(s, 2.0))
-    oracle = brute_roots(characteristic_polynomial(s, 2.0).coefficients)
+    oracle = brute_roots(characteristic_polynomial(s, 2.0))
     inside = sorted(
         (x for x in oracle if abs(x) < 1), key=lambda x: (x.real, x.imag)
     )
@@ -121,7 +121,7 @@ def test_select_off_the_circle_is_the_hersh_split(name, lam, log_modulus, theta)
     found = find_roots(characteristic_polynomial(s, z))
     inside, _ = hersh_split(s, z, found)
     expected = np.array(sorted(inside, key=lambda x: (x.real, x.imag)))
-    chosen = select_stable_roots(s, z, found.roots)
+    chosen = select_stable_roots(s, z, found)
     assert chosen.dtype == expected.dtype
     assert chosen.tobytes() == expected.tobytes()
 
@@ -139,6 +139,14 @@ def test_delta_rejects_interior_z():
     assert str(info.value) == "|z| = 0.5 below the unit circle band"
 
 
+@pytest.mark.parametrize("z", [np.inf, complex(np.nan, 0.0)])
+def test_delta_refuses_a_z_that_is_not_finite(z):
+    tmpl = template("o3")
+    with pytest.raises(ValueError) as info:
+        delta(tmpl(0.4), recon_bc(tmpl, 0.4, 3, 0, 0.0), z)
+    assert str(info.value) == "polynomial coefficients must be finite"
+
+
 @pytest.mark.parametrize("modulus", [1.0, 1.02])
 def test_select_flags_cauchy_violation(modulus):
     # at an over-CFL scheme the exterior root count breaks inside the symbol
@@ -154,7 +162,7 @@ def test_select_picks_from_the_given_roots():
     # every chosen root is an element of the caller's array, not a re-solve
     s = template("o3")(0.4)
     for z in (2.0 + 0j, 1.5 * np.exp(0.8j), 1.0 + 0j, np.exp(2.1j)):
-        given = brute_roots(characteristic_polynomial(s, z).coefficients)
+        given = brute_roots(characteristic_polynomial(s, z))
         chosen = select_stable_roots(s, z, given)
         assert len(chosen) == s.r
         assert all(np.any(given == x) for x in chosen)

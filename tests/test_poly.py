@@ -5,49 +5,35 @@ import pytest
 
 from conftest import brute_roots
 from klstab.errors import NonConvergence
-from klstab.kldet import _char_rows
-from klstab.poly import (
-    ComplexPolynomial,
-    find_roots,
-    find_roots_many,
-    min_modulus_on_circle,
-)
+from klstab.poly import find_roots, find_roots_many, min_modulus_on_circle
 from klstab.scheme import characteristic_polynomial, template
 
 
 def test_construction_trims_leading_zeros():
-    p = ComplexPolynomial([1, 2, 0, 0])
-    assert p.degree == 1
-    assert p.coefficients == (1 + 0j, 2 + 0j)
+    # trailing (highest-degree) zeros are roots at infinity, dropped
+    assert find_roots([1, 2, 0, 0]).tolist() == [-0.5 + 0j]
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        ComplexPolynomial([0, 0])
-    with pytest.raises(ValueError):
-        ComplexPolynomial([])
+    for coeffs in ([0, 0], [], [3]):
+        with pytest.raises(ValueError):
+            find_roots(coeffs)
 
 
 def test_factorized_quadratic():
-    rs = find_roots(ComplexPolynomial([-1, 0, 1]))
-    assert rs.roots == (-1 + 0j, 1 + 0j)
-    assert rs.residual <= 1e-12
+    assert find_roots([-1, 0, 1]).tolist() == [-1 + 0j, 1 + 0j]
 
 
 def test_triple_root_at_origin():
-    rs = find_roots(ComplexPolynomial([0, 0, 0, 1]))
-    assert rs.roots == (0j, 0j, 0j)
-    assert rs.residual == 0.0
+    assert find_roots([0, 0, 0, 1]).tolist() == [0j, 0j, 0j]
 
 
 def test_find_roots_many_drops_shared_zero_top_columns():
     # (x - 1)(x - 2) and (x - 2)(x - 3), each with a root at 0 and two at
     # infinity: the zero columns shared by the batch are exact roots
     rows = np.array([[0, 2, -3, 1, 0, 0], [0, 6, -5, 1, 0, 0]], dtype=complex)
-    roots, resid = find_roots_many(rows)
-    trimmed_roots, trimmed_resid = find_roots_many(rows[:, :4])
-    assert np.array_equal(roots, trimmed_roots)
-    assert np.array_equal(resid, trimmed_resid)
+    roots = find_roots_many(rows)
+    assert np.array_equal(roots, find_roots_many(rows[:, :4]))
     assert roots.shape == (2, 3) and np.all(roots[:, 0] == 0)
     assert np.allclose(roots[:, 1:], [[1, 2], [2, 3]], atol=1e-12)
     # a row whose own leading coefficient is zero still raises
@@ -72,10 +58,10 @@ def test_subnormal_leading_coefficient_raises_without_warning():
 def test_o3_characteristic_vieta():
     p = characteristic_polynomial(template("o3")(0.4), 2.0)
     rs = find_roots(p)
-    c = p.coefficients
-    d = p.degree
-    total = sum(rs.roots)
-    prod = np.prod(np.array(rs.roots))
+    c = p
+    d = len(p) - 1
+    total = sum(rs)
+    prod = np.prod(rs)
     assert abs(total + c[d - 1] / c[d]) <= 1e-10 * (1 + abs(c[d - 1] / c[d]))
     assert abs(prod - (-1) ** d * c[0] / c[d]) <= 1e-10 * (1 + abs(c[0] / c[d]))
 
@@ -86,42 +72,41 @@ def test_vieta_property_random(rng):
         coeffs = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
         if abs(coeffs[-1]) < 0.1:
             coeffs[-1] += 1.0
-        p = ComplexPolynomial(coeffs)
-        rs = find_roots(p)
-        c = p.coefficients
+        rs = find_roots(coeffs)
+        c = coeffs
         ratio1 = c[d - 1] / c[d]
         ratio0 = c[0] / c[d]
-        assert abs(sum(rs.roots) + ratio1) <= 1e-8 * (1 + abs(ratio1))
-        prod = np.prod(np.array(rs.roots))
+        assert abs(sum(rs) + ratio1) <= 1e-8 * (1 + abs(ratio1))
+        prod = np.prod(rs)
         assert abs(prod - (-1) ** d * ratio0) <= 1e-8 * (1 + abs(ratio0))
 
 
 def test_permutation_stability():
-    p = ComplexPolynomial([2, -3j, 0.5, 1 + 1j, 1])
-    first = find_roots(p).roots
+    p = [2, -3j, 0.5, 1 + 1j, 1]
+    first = find_roots(p)
     for _ in range(3):
-        assert find_roots(p).roots == first
+        assert np.array_equal(find_roots(p), first)
 
 
 def test_count_roots_o3_unit_disk_matches_brute_force():
     s = template("o3")(0.4)
     p = characteristic_polynomial(s, 2.0)
     rs = find_roots(p)
-    oracle = np.sum(np.abs(brute_roots(p.coefficients)) < 1.0)
-    assert sum(abs(x) < 1.0 for x in rs.roots) == oracle == s.r
+    oracle = np.sum(np.abs(brute_roots(p)) < 1.0)
+    assert sum(abs(x) < 1.0 for x in rs) == oracle == s.r
 
 
 def test_min_modulus_identity():
-    assert min_modulus_on_circle(ComplexPolynomial([0, 1]), 0.0, 1.0) == pytest.approx(1.0)
+    assert min_modulus_on_circle([0, 1], 0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_min_modulus_shifted_linear():
-    assert min_modulus_on_circle(ComplexPolynomial([-1, 1]), 1.0, 0.5) == pytest.approx(0.5)
+    assert min_modulus_on_circle([-1, 1], 1.0, 0.5) == pytest.approx(0.5)
 
 
 def test_min_modulus_oversampling_oracle():
     # the ROUCHE_SAMPLES-point minimum against a 4096-point evaluation
-    p = ComplexPolynomial([-1, 0, 1])
+    p = [-1, 0, 1]
     pts = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
     fine = float(np.min(np.abs(pts**2 - 1)))
     coarse = min_modulus_on_circle(p, 1.0, 0.5)
@@ -133,8 +118,8 @@ def test_roots_match_brute_force_random(rng):
         d = int(rng.integers(2, 6))
         coeffs = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
         coeffs[-1] = 1.0
-        rs = find_roots(ComplexPolynomial(coeffs))
-        mine = np.array(sorted(rs.roots, key=lambda x: (x.real, x.imag)))
+        rs = find_roots(coeffs)
+        mine = np.array(sorted(rs, key=lambda x: (x.real, x.imag)))
         ref = np.array(sorted(brute_roots(coeffs), key=lambda x: (x.real, x.imag)))
         assert np.max(np.abs(mine - ref)) <= 1e-7 * (1 + np.max(np.abs(ref)))
 
@@ -147,9 +132,38 @@ def test_find_roots_many_rows_are_batch_independent(name, lam):
     # each row stops on its own step, so it is solved bit for bit alike alone,
     # in a sub-batch and in the full 256-point batch
     zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
-    rows = _char_rows(template(name)(lam), zs)
-    full = find_roots_many(rows)[0]
-    sub = find_roots_many(rows[3::7])[0]
+    rows = characteristic_polynomial(template(name)(lam), zs)
+    full = find_roots_many(rows)
+    sub = find_roots_many(rows[3::7])
     assert np.array_equal(full[3::7], sub)
     for i in range(len(zs)):
-        assert np.array_equal(find_roots_many(rows[i : i + 1])[0][0], full[i]), i
+        assert np.array_equal(find_roots_many(rows[i : i + 1])[0], full[i]), i
+
+
+@pytest.mark.parametrize("name", ["upwind", "o3", "lw5"])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_characteristic_rows_are_the_scalar_rows(name, lam):
+    # one builder of P_z: each row of the batch is the scalar row, bit for
+    # bit, and find_roots of it is the batch solve's row
+    s = template(name)(lam)
+    zs = np.concatenate(
+        (np.exp(1j * np.linspace(0.0, np.pi, 129)), [1.5, -2.0 + 0.5j, 1e-3j])
+    )
+    rows = characteristic_polynomial(s, zs)
+    batch = find_roots_many(rows)
+    assert rows.shape == (len(zs), s.r + s.p + 1)
+    for i, z in enumerate(zs):
+        row = characteristic_polynomial(s, z)
+        assert row.shape == (s.r + s.p + 1,)
+        assert row.tobytes() == rows[i].tobytes(), i
+        assert find_roots(row).tobytes() == batch[i].tobytes(), i
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1, np.nan, 1], [1, 2, np.inf], [complex(1, np.nan), 1]]
+)
+def test_find_roots_many_refuses_coefficients_that_are_not_finite(coeffs):
+    # refused as such, not blamed on the leading coefficient it would spoil
+    with pytest.raises(ValueError) as exc:
+        find_roots_many(np.array([coeffs], dtype=complex))
+    assert str(exc.value) == "polynomial coefficients must be finite"

@@ -194,7 +194,8 @@ def check_inputs(draw):
     lam = draw(LAMBDAS)
     kind = draw(st.sampled_from(["spec", "matrix", "prebuilt"]))
     if kind == "spec":
-        d = draw(st.integers(2, 6))
+        # orders up to 200: from R144,-1 on the cell averages overflow a double
+        d = draw(st.one_of(st.integers(2, 6), st.integers(2, 200)))
         k_d = draw(st.integers(-1, d - 2))
         sigma = draw(
             st.one_of(
@@ -289,6 +290,7 @@ def custom_lines(draw):
 @example("3 1 1e8 -1.7e308 -0.0 1.7e308 1.0", (2, 0), 0.1)
 @example("1 1 1e-310 1 -1e-310", (2, 0), 0.1)
 @example("1 1 1.0 1e-320 -5e-324", (2, 0), 0.1)
+@example("1 1 0.5 0.5 -3.6679572961244075e-156", (3, 0), 0.0)
 def test_custom_scheme_check_never_raises_or_warns(line, boundary, sigma):
     tmpl = SchemeTemplate("custom", lambda lam: parse_scheme_line(line, lam))
     with warnings.catch_warnings():

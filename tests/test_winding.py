@@ -128,6 +128,22 @@ def test_needs_refinement_zero_endpoint():
     assert needs_refinement(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_needs_refinement_flags_an_end_that_is_not_finite(bad):
+    assert needs_refinement(1.0, bad)
+    assert needs_refinement(bad, 1j)
+    assert needs_refinement(bad, bad)
+    flags = needs_refinement(np.array([1.0, bad, 2.0]), np.array([bad, 1.0, 2.0]))
+    assert flags.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
+def test_winding_number_refuses_a_sample_that_is_not_finite(bad):
+    with pytest.raises(ValueError) as info:
+        winding_number([1.0, bad, 1j])
+    assert str(info.value) == "samples must be finite"
+
+
 def test_needs_refinement_coincident_endpoints():
     # a point segment (zero direction vector) is judged by its distance to 0
     assert not needs_refinement(2 - 1j, 2 - 1j)
@@ -238,6 +254,14 @@ def test_certified_flag_reflects_predicate(tmp_path):
     assert read_back(fine, tmp_path).certified
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_curve_csv_with_a_sample_that_is_not_finite_is_not_certified(bad, tmp_path):
+    # the fine circle reads certified; one sample that is not finite takes that away
+    samples = circle_samples(1, 64)
+    samples[9] = bad
+    assert not read_back(samples, tmp_path).certified
+
+
 def _quadrant_by_select(re, im):
     """The np.select rule that ``_quadrant`` replaced, kept as its reference."""
     return np.select(
@@ -257,8 +281,9 @@ def test_quadrant_matches_select_rule():
 
 
 def test_winding_count_on_edge_values_matches_loop(rng):
-    # signed zeros, infinities and nan take the same branches as the loop form
-    edge = np.array([1.0, -1.0, 2.5, -0.0, 0.0, np.inf, -np.inf, np.nan])
+    # signed zeros take the same branches as the loop form; a sample with an
+    # infinity or nan in either part is refused, without a warning
+    edge = np.array([1.0, -1.0, 2.5, -0.0, 0.0])
 
     def loop_count(pts):
         if any(abs(v) < 1e-300 for v in pts):
@@ -276,9 +301,12 @@ def test_winding_count_on_edge_values_matches_loop(rng):
     for _ in range(400):
         n = int(rng.integers(2, 7))
         pts = [complex(x, y) for x, y in zip(rng.choice(edge, n), rng.choice(edge, n))]
-        with np.errstate(all="ignore"):
-            try:
-                got = winding_number(pts).index
-            except OriginOnCurve:
-                got = None
+        try:
+            got = winding_number(pts).index
+        except OriginOnCurve:
+            got = None
         assert got == loop_count(pts), pts
+        i, bad = int(rng.integers(n)), rng.choice([np.inf, -np.inf, np.nan])
+        pts[i] = complex(bad, pts[i].imag) if rng.integers(2) else complex(pts[i].real, bad)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            winding_number(pts)
