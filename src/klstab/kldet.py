@@ -8,7 +8,8 @@ and continuous up to it.  One rule picks the r roots at every |z| >= 1: roots
 clearly inside are taken, roots clearly outside are left, and roots in the
 circle band are resolved by a Rouche perturbation: nudge z radially outward by
 half the certified radius and count how many nearby roots land inside the
-disk, i.e. how many members of the cluster arrived from the inside.
+disk, i.e. how many members of the cluster arrived from the inside.  For a
+lone band root the re-solve at the nudged z starts from the roots at z.
 
 Each kernel has one implementation over a batch of z values: the rows of P_z
 (``scheme.characteristic_polynomial``), the monic product (``_monic_product``),
@@ -156,7 +157,12 @@ def _select(s, z, roots):
 
 
 def _roots_from_inside(s, z, roots, cluster_idx) -> int:
-    """Count of a boundary cluster's roots that arrive from inside the disk."""
+    """Count of a boundary cluster's roots that arrive from inside the disk.
+
+    P_z' at z' = (1 + eta/2) z is solved from the roots at z, less the exact
+    zeros, when the cluster is one root; a multi-root cluster starts cold.
+    Only the count is read from that solve.
+    """
     members = roots[cluster_idx]
     center = complex(np.mean(members))
     others = np.delete(roots, cluster_idx)
@@ -180,7 +186,12 @@ def _roots_from_inside(s, z, roots, cluster_idx) -> int:
             f"perturbation radius eta={eta} too small to certify counts at z={z}"
         )
     z_out = (1.0 + eta / 2.0) * z
-    moved = find_roots_many(characteristic_polynomial(s, np.array([z_out])))[0]
+    # each root at z is within O(eta) of one at z'; the solver splits the
+    # exact zeros off again.  Walkers started on a split multiple root,
+    # within CLUSTER_TOL of each other, separate slowly.
+    start = roots[roots != 0][None, :] if len(members) == 1 else None
+    p_out = characteristic_polynomial(s, np.array([z_out]))
+    moved = find_roots_many(p_out, start)[0]
     count = int(np.sum((np.abs(moved - center) < eps) & (np.abs(moved) < 1.0)))
     if count > len(members):
         raise SelectionFailure(

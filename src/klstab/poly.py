@@ -46,27 +46,44 @@ def _initial_guesses(monic_rows: np.ndarray) -> np.ndarray:
 
 
 def _horner_many(coeff_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for k in range(coeff_rows.shape[1] - 1, -1, -1):
-        acc = acc * x + coeff_rows[:, k, None]
+    """Each (..., n, d+1) coefficient row evaluated at its row of x: (..., n, k)."""
+    acc = np.zeros(coeff_rows.shape[:-1] + x.shape[-1:], dtype=complex)
+    for k in range(coeff_rows.shape[-1] - 1, -1, -1):
+        acc = acc * x + coeff_rows[..., k, None]
     return acc
 
 
-def find_roots_many(coeff_rows: np.ndarray) -> np.ndarray:
+def _distinct_finite(points: np.ndarray) -> np.ndarray:
+    """Per row of (n, d) points: all finite and no two equal."""
+    ordered = np.sort(points, axis=1)
+    return np.all(np.isfinite(points), axis=1) & np.all(
+        ordered[:, 1:] != ordered[:, :-1], axis=1
+    )
+
+
+def find_roots_many(
+    coeff_rows: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
     """Aberth-Ehrlich on a batch of same-degree polynomials.
 
     Parameters
     ----------
     coeff_rows : (n, d+1) complex array, ascending degree.
+    start : optional (n, d) array, one row of starting points per polynomial,
+        d the degree left once the exact roots below are split off.  A row
+        that is finite and pairwise distinct starts there; any other row, or
+        a start of another shape, starts from the Newton-diagram guesses,
+        because Aberth cannot separate walkers that start at one point.
 
     Columns of zeros shared by the whole batch are exact roots: at the bottom
     roots at 0, returned as 0, at the top roots at infinity, dropped (d counts
     what is left).  A coefficient that is not finite, or a row whose own
     leading coefficient is zero, raises ValueError.  Each row iterates until
     its own Aberth step falls below _STEP_TOL, so a row's roots depend only on
-    its coefficients, bit for bit, whatever batch it is solved in.  Raises
-    NonConvergence when a monic row is not finite or a backward-error residual
-    max |P(x)| / sum_k |c_k||x|^k over a row's roots exceeds ROOT_TOL.
+    its coefficients and its start, bit for bit, whatever batch it is solved
+    in.  Raises NonConvergence when a monic row is not finite or a
+    backward-error residual max |P(x)| / sum_k |c_k||x|^k over a row's roots
+    exceeds ROOT_TOL.
 
     Returns
     -------
@@ -93,35 +110,45 @@ def find_roots_many(coeff_rows: np.ndarray) -> np.ndarray:
     d = rows.shape[1] - 1
     if d == 0:
         return np.zeros((n, w - 1), dtype=complex)
-    eye = np.eye(d, dtype=bool)
     active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         monic = rows / lead[:, None]
         if not np.all(np.isfinite(monic)):  # a subnormal leading coefficient
             tiny = lead[np.argmin(np.abs(lead))]
             raise NonConvergence(f"dividing by leading coefficient {tiny:.3e} overflows")
-        dcoef = monic[:, 1:] * np.arange(1, d + 1)[None, :]
         x = _initial_guesses(monic)
-        xa, ma, da = x, monic, dcoef
+        if start is not None and np.shape(start) == (n, d):
+            warm = np.asarray(start, dtype=complex)
+            x = np.where(_distinct_finite(warm)[:, None], warm, x)
+        # p and p' in one Horner pass: monic rows over derivative rows whose
+        # top coefficient is a zero
+        stacked = np.zeros((2, n, d + 1), dtype=complex)
+        stacked[0] = monic
+        stacked[1, :, :-1] = monic[:, 1:] * np.arange(1, d + 1)[None, :]
+        xa = x
         for _ in range(ABERTH_MAX_SWEEPS):
-            p = _horner_many(ma, xa)
-            dp = _horner_many(da, xa)
+            p, dp = _horner_many(stacked, xa)
             newton = p / np.where(dp == 0, 1e-300, dp)
             diff = xa[:, :, None] - xa[:, None, :]
-            diff[:, eye] = np.inf
-            s = np.nansum(1.0 / diff, axis=2)
+            diff.reshape(len(xa), d * d)[:, :: d + 1] = np.inf
+            inv = 1.0 / diff
+            s = np.sum(inv, axis=2)
+            if np.isnan(s).any():
+                s = np.nansum(inv, axis=2)
             denom = 1.0 - newton * s
             step = newton / np.where(denom == 0, 1e-300, denom)
             bad = ~np.isfinite(step)
             if np.any(bad):
                 step = np.where(bad, newton, step)
             xa = xa - step
-            x[active] = xa
             going = ~(np.max(np.abs(step) / (1.0 + np.abs(xa)), axis=1) <= _STEP_TOL)
             if not np.all(going):
+                x[active] = xa
                 if not np.any(going):
                     break
-                active, xa, ma, da = active[going], xa[going], ma[going], da[going]
+                active, xa, stacked = active[going], xa[going], stacked[:, going]
+        else:
+            x[active] = xa
 
         scale = np.zeros(x.shape, dtype=float)
         ax = np.abs(x)

@@ -75,8 +75,13 @@ class Scheme:
 
     @cached_property
     def cauchy(self) -> CauchyReport:
+        a = self.coeff_array()
+        nonzero = np.flatnonzero(a)
+        if len(nonzero) == 1:  # a pure shift: |gamma| is |a_k| at every xi
+            mod = abs(float(a[nonzero[0]]))
+            return CauchyReport(mod <= 1.0 + CAUCHY_TOL, 0.0, mod)
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: unstable
-            mods = np.abs(np.fft.fft(self.coeff_array(), CAUCHY_SAMPLES))
+            mods = np.abs(np.fft.fft(a, CAUCHY_SAMPLES))
         i = int(np.argmax(mods))
         stable = bool(mods[i] <= 1.0 + CAUCHY_TOL)
         return CauchyReport(stable, 2.0 * np.pi * i / CAUCHY_SAMPLES, float(mods[i]))
@@ -115,7 +120,9 @@ def is_cauchy_stable(s: Scheme) -> CauchyReport:
     the coefficients are real.  The worst is reported, once per instance as
     ``s.cauchy``, which a sweep row's cells share.  Where the maximum ties in
     rounding (xi and 2 pi - xi, or a flat maximum near xi = 0), ``xi_worst``
-    may be any of the tied samples.
+    may be any of the tied samples.  A pure shift, one nonzero coefficient,
+    takes no FFT: |gamma| is that coefficient's modulus at every xi, reported
+    exactly with ``xi_worst`` 0.
     """
     return s.cauchy
 

@@ -104,6 +104,73 @@ def test_select_resolves_a_double_root_on_the_circle(z):
     assert abs(chosen[0] - z) <= 1e-8
 
 
+def _warm_and_cold_counts(monkeypatch):
+    """Run every Rouche count twice, its re-solve started as kldet starts it
+    and cold; record (start given, warm count, cold count) per count."""
+    solve = klstab.kldet.find_roots_many
+    count = klstab.kldet._roots_from_inside
+    seen = []
+
+    def warm_and_cold(s, z, roots, cluster_idx):
+        starts = []
+
+        def warm_solve(rows, start=None):
+            starts.append(start is not None)
+            return solve(rows, start)
+
+        def cold_solve(rows, start=None):
+            return solve(rows)
+
+        monkeypatch.setattr(klstab.kldet, "find_roots_many", warm_solve)
+        warm = count(s, z, roots, cluster_idx)
+        monkeypatch.setattr(klstab.kldet, "find_roots_many", cold_solve)
+        cold = count(s, z, roots, cluster_idx)
+        monkeypatch.setattr(klstab.kldet, "find_roots_many", solve)
+        seen.append((starts == [True], warm, cold))
+        return warm
+
+    monkeypatch.setattr(klstab.kldet, "_roots_from_inside", warm_and_cold)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, lam, solves",
+    [
+        ("o3", 1.0, 129),
+        ("o3", 2.0, 258),
+        ("lw5", 1.0, 129),
+        ("lw5", 2.0, 258),
+        ("lw5", 0.95, 4),
+        ("lw5", 0.98, 5),
+        ("lw5", 0.995, 7),
+    ],
+)
+def test_rouche_count_started_from_the_roots_at_z_is_the_cold_count(
+    monkeypatch, name, lam, solves
+):
+    # every grid point off the fast path: each band root is a lone root, so
+    # its re-solve starts from the roots at z, and counts as a cold one does
+    seen = _warm_and_cold_counts(monkeypatch)
+    _, zs = klstab.kldet._initial_grid(256)
+    klstab.kldet._stable_sigmas(template(name)(lam), zs)
+    assert len(seen) == solves
+    assert all(started and warm == cold for started, warm, cold in seen)
+
+
+def test_rouche_count_of_a_split_multiple_root_is_the_cold_count(monkeypatch):
+    # naive_average's double roots at z = +-1 and the triple root of
+    # (1 - kappa)^3 / 8 at z = 1: walkers on a split multiple root start cold
+    seen = _warm_and_cold_counts(monkeypatch)
+    s = template("naive_average")(0.5)
+    for z in (1.0, -1.0):
+        assert len(select_stable_roots(s, z, roots_at(s, z))) == 1
+    triple = Scheme(r=1, p=2, coeffs={-1: 0.125, 0: 0.625, 1: 0.375, 2: -0.125})
+    roots = roots_at(triple, 1.0)
+    assert np.max(np.abs(roots - 1.0)) <= 1e-4
+    assert klstab.kldet._roots_from_inside(triple, 1.0, roots, [0, 1, 2]) == 1
+    assert seen == [(False, 1, 1)] * 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["upwind", "o3", "lw5"]),
@@ -176,9 +243,9 @@ def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
     solve = klstab.kldet.find_roots_many
     rouche = klstab.kldet.min_modulus_on_circle
 
-    def counting_solve(rows):
+    def counting_solve(rows, start=None):
         counts["one_row_solves"] += len(rows) == 1
-        return solve(rows)
+        return solve(rows, start)
 
     def counting_rouche(*args):
         counts["rouche"] += 1
@@ -200,9 +267,9 @@ def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init, solved):
     batches = []
     solve = klstab.kldet.find_roots_many
 
-    def counting_solve(rows):
+    def counting_solve(rows, start=None):
         batches.append(len(rows))
-        return solve(rows)
+        return solve(rows, start)
 
     monkeypatch.setattr(klstab.kldet, "find_roots_many", counting_solve)
     tmpl = template("o3")

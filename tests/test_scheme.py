@@ -66,6 +66,12 @@ def test_cauchy_stable_cases():
     assert is_cauchy_stable(template("lw5")(0.5)).stable
 
 
+@pytest.mark.parametrize("name, lam", [("o3", 1.0), ("lw5", 1.0), ("lw5", 2.0)])
+def test_cauchy_of_a_pure_shift_is_exact(name, lam):
+    # one nonzero coefficient: |gamma| is 1 at every xi, no FFT rounding
+    assert is_cauchy_stable(template(name)(lam)) == (True, 0.0, 1.0)
+
+
 def test_cauchy_unstable_reports_offender():
     report = is_cauchy_stable(template("o3")(1.5))
     assert not report.stable

@@ -6,7 +6,7 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B.  Then come five fixed lists:
+R<d>,<k_d> or random ghost matrices B.  Then come six fixed lists:
 EXTRAPOLATION, the three pure-extrapolation checks (upwind R3,-1, o3 and lw5
 R2,-1), whose curves touch the origin at z = 1 and end marginal; ODD_SAMPLES,
 o3 at lambda = 1 and lw5, traced from 255 initial samples, an odd count, at
@@ -17,9 +17,14 @@ refinement predicate (marginal), kept as strings, because a JSON NaN never
 equals itself; DEGENERATE, lw5 R5,0 at lambda 2 and 3 and o3 R3,0 at
 lambda 2, sigma 0.1, where coefficients at the ends of P_z vanish exactly
 (a_p, and a_{-3} for lw5 at lambda 2): roots at infinity and at 0 that the
-root finder splits off; and PREBUILT, whose boundary reaches ``_check`` as a
+root finder splits off; PREBUILT, whose boundary reaches ``_check`` as a
 ``BoundaryCondition`` built on the scheme at the lambda it is checked at (o3
-R3,0, lw5 R5,0 and an upwind 1 x 2 ghost matrix).  An input traces N_INIT
+R3,0, lw5 R5,0 and an upwind 1 x 2 ghost matrix); and ROUCHE, checks with
+several Rouche re-solves or a multiple root on the circle: lw5 R5,0 and R3,1
+at lambda 0.95, 0.98 and 0.995, naive_average R2,0 at lambda 0.5, with double
+roots kappa = +-1 at z = +-1, and the scheme line ``1 2 0.125 0.625 0.375
+-0.125``, whose P_1 = (1 - kappa)^3 / 8 has a triple root.  An input's
+``scheme`` is a template name or such a line.  An input traces N_INIT
 initial samples unless it names its own ``n_init``.  It then
 runs the sweeps of MAPS: o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from
 lambda 0.02, whose first row refines several cells on one shared scheme, and
@@ -42,6 +47,7 @@ two records were made from different inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,6 +89,14 @@ PREBUILT = [
     {"scheme": "o3", "lam": 0.5, "recon": [3, 0, -0.4], "prebuilt": True},
     {"scheme": "lw5", "lam": 0.6, "recon": [5, 0, 0.1], "prebuilt": True},
     {"scheme": "upwind", "lam": 0.7, "B": [[0.3, 0.2]], "prebuilt": True},
+]
+ROUCHE = [
+    {"scheme": "lw5", "lam": lam, "recon": [d, k_d, 0.1]}
+    for lam in (0.95, 0.98, 0.995)
+    for d, k_d in ((5, 0), (3, 1))
+] + [
+    {"scheme": "naive_average", "lam": 0.5, "recon": [2, 0, 0.1]},
+    {"scheme": "1 2 0.125 0.625 0.375 -0.125", "lam": 0.5, "recon": [2, 0, 0.1]},
 ]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
@@ -139,14 +153,18 @@ def verdict_fields(verdict) -> dict:
 def run_check(inp: dict) -> dict:
     """The verdict, diagnostics and curve of one input, as JSON-ready values."""
     from klstab.boundary import ReconstructionSpec
-    from klstab.scheme import template
+    from klstab.scheme import TEMPLATES, SchemeTemplate, parse_scheme_line, template
     from klstab.verdict import _build_boundary, _check
 
     if "recon" in inp:
         spec = ReconstructionSpec(*inp["recon"])
     else:
         spec = np.array(inp["B"], dtype=float)
-    tmpl = template(inp["scheme"])
+    name = inp["scheme"]
+    if name in TEMPLATES:
+        tmpl = template(name)
+    else:  # a scheme line, ``r p a_{-r} ... a_p``
+        tmpl = SchemeTemplate(name, functools.partial(parse_scheme_line, name))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -199,7 +217,7 @@ def record_maps() -> tuple[dict[str, str], dict[str, list[dict]]]:
 
 
 def record() -> dict:
-    fixed = EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE + PREBUILT
+    fixed = EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE + PREBUILT + ROUCHE
     inputs = check_inputs(COUNT) + fixed
     checks = [run_check(inp) for inp in inputs]
     csvs, cells = record_maps()
