@@ -12,8 +12,9 @@ handles a physical boundary offset by sigma*dx from grid point 0: ghost and
 interior cell averages of a Taylor polynomial about the boundary give two
 matrices Y_minus (ghost rows) and Y_plus (interior rows), and B = Y_minus
 Y_plus^{-1} zero-padded to width m.  B comes from a library solve; a
-singular-value ratio test on Y_plus rejects a numerically singular system
-first.
+singular-value ratio test on Y_plus, preceded by a column-norm ratio test
+that spares a badly scaled Y_plus its SVD, rejects a numerically singular
+system first.
 """
 
 from __future__ import annotations
@@ -89,12 +90,20 @@ def reconstruction_B(spec: ReconstructionSpec, r: int, m: int) -> np.ndarray:
 
     The library solve runs behind a singular-value guard: SingularYPlus is
     raised when Y_plus's smallest singular value is at most SINGULAR_RATIO_MIN
-    times its largest.
+    times its largest.  Every column norm lies between those two, so a ratio
+    of smallest to largest column norm at or below SINGULAR_RATIO_MIN already
+    certifies that refusal, and is refused before the SVD.
     """
     w = spec.width
     if m < w:
         raise ShapeMismatch(f"m={m} must be >= d-k_d-1={w}")
     y_minus, y_plus = reconstruction_matrices(spec, r)
+    norms = np.linalg.norm(y_plus, axis=0)
+    if norms.min() <= SINGULAR_RATIO_MIN * norms.max():
+        raise SingularYPlus(
+            f"Y_plus column norms {norms.min():.3e} / {norms.max():.3e} "
+            f"at or below ratio {SINGULAR_RATIO_MIN:.0e}"
+        )
     sv = np.linalg.svd(y_plus, compute_uv=False)
     if sv[-1] <= SINGULAR_RATIO_MIN * sv[0]:
         raise SingularYPlus(

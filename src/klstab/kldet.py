@@ -21,9 +21,10 @@ sigma(z) rows of its initial grid in the scheme's ``grid_sigmas``, which every
 boundary traced on that Scheme instance (a sweep's lambda row) reads.  The
 coefficients are real, so D(conj z) = conj D(z): ``kl_curve`` traces and
 refines only the upper half of the circle, from z = 1 to z = -1, and mirrors
-it.  Points whose roots all sit clear of the circle take r inside roots
-directly; the rest pass their already-solved roots, one point at a time, to
-``select_stable_roots``.
+it.  A point takes its r inside roots in the batch unless a root lies in the
+TOL_UNIT band or in a multi-root cluster near the circle, where the rule
+above takes a Rouche count: only such a point passes its already-solved
+roots, one point at a time, to ``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -269,19 +270,28 @@ def delta_reference(s: Scheme, bc: BoundaryCondition, z: complex) -> complex:
 def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     """sigma(z) at each z of a 1-D array: the scheme-side half of Delta.
 
-    The points are solved in one batch.  A point whose roots all sit clear of
-    the circle band, r of them inside, takes the batched split; any other
-    point goes through select_stable_roots.
+    The points are solved in one batch.  A point takes the batched split, its
+    r roots inside the disk in the solver's (real, imag) order, when every
+    root within CLUSTER_TOL of the circle is a lone root (no other root within
+    CLUSTER_TOL) outside the TOL_UNIT band: that is ``_select``'s own rule for
+    such a point.  Only a point with a root in the TOL_UNIT band or in a
+    multi-root cluster near the circle, where ``_select`` takes a Rouche count,
+    or with other than r roots inside, goes through select_stable_roots.
     """
     roots = find_roots_many(characteristic_polynomial(s, zs))
     moduli = np.abs(roots)
     inside = moduli < 1.0 - TOL_UNIT
-    clear = np.abs(moduli - 1.0) > CLUSTER_TOL
-    fast = np.all(clear, axis=1) & (np.sum(inside, axis=1) == s.r)
+    band = ~inside & ~(moduli > 1.0 + TOL_UNIT)
+    near = ~(moduli < 1.0 - CLUSTER_TOL) & ~(moduli > 1.0 + CLUSTER_TOL)
+    at = near.any(axis=1)
+    # keep the near roots linked to another root, as _cluster_indices links them
+    links = np.abs(roots[at, :, None] - roots[at, None, :]) <= CLUSTER_TOL
+    near[at] &= links.sum(axis=2) > 1
+    batch = ~(band | near).any(axis=1) & (inside.sum(axis=1) == s.r)
 
     sig = np.empty((len(zs), s.r), dtype=complex)
-    sig[fast] = _monic_product(roots[fast][inside[fast]].reshape(-1, s.r))
-    for i in np.flatnonzero(~fast):
+    sig[batch] = _monic_product(roots[batch][inside[batch]].reshape(-1, s.r))
+    for i in np.flatnonzero(~batch):
         sig[i] = sigmas_from_roots(select_stable_roots(s, zs[i], roots[i]))
     return sig
 

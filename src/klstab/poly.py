@@ -33,9 +33,9 @@ def _initial_guesses(monic_rows: np.ndarray) -> np.ndarray:
     n, w = monic_rows.shape
     d = w - 1
     mags = np.abs(monic_rows)
-    upper = 1.0 + np.max(mags[:, :-1], axis=1)
+    upper = 1.0 + mags[:, :-1].max(axis=1)
     c0 = mags[:, 0]
-    rest = np.maximum(np.max(mags[:, 1:], axis=1), 1e-300)
+    rest = np.maximum(mags[:, 1:].max(axis=1), 1e-300)
     lower = np.maximum(c0 / (c0 + rest), upper * 1e-6)
     # a tiny coefficient's ratio overflows, under the caller's errstate; clip caps it
     ratios = mags[:, :-1] / np.where(mags[:, 1:] == 0, 1e-300, mags[:, 1:])
@@ -49,16 +49,16 @@ def _horner_many(coeff_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each (..., n, d+1) coefficient row evaluated at its row of x: (..., n, k)."""
     acc = np.zeros(coeff_rows.shape[:-1] + x.shape[-1:], dtype=complex)
     for k in range(coeff_rows.shape[-1] - 1, -1, -1):
-        acc = acc * x + coeff_rows[..., k, None]
+        acc *= x
+        acc += coeff_rows[..., k, None]
     return acc
 
 
 def _distinct_finite(points: np.ndarray) -> np.ndarray:
     """Per row of (n, d) points: all finite and no two equal."""
     ordered = np.sort(points, axis=1)
-    return np.all(np.isfinite(points), axis=1) & np.all(
-        ordered[:, 1:] != ordered[:, :-1], axis=1
-    )
+    distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    return np.isfinite(points).all(axis=1) & distinct
 
 
 def find_roots_many(
@@ -73,7 +73,8 @@ def find_roots_many(
         d the degree left once the exact roots below are split off.  A row
         that is finite and pairwise distinct starts there; any other row, or
         a start of another shape, starts from the Newton-diagram guesses,
-        because Aberth cannot separate walkers that start at one point.
+        because Aberth cannot separate walkers that start at one point.  A
+        start that every row can use skips the guesses.
 
     Columns of zeros shared by the whole batch are exact roots: at the bottom
     roots at 0, returned as 0, at the top roots at infinity, dropped (d counts
@@ -87,24 +88,25 @@ def find_roots_many(
 
     Returns
     -------
-    roots : (n, d) array, each row sorted by (real, imag).
+    roots : (n, d) array, each row sorted by a stable complex sort, that is
+        by (real, imag) with ties in place.
     """
     rows = np.asarray(coeff_rows, dtype=complex)
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ValueError("polynomial coefficients must be finite")
     top = rows.shape[1]
-    while top > 1 and not np.any(rows[:, top - 1]):
+    while top > 1 and not rows[:, top - 1].any():
         top -= 1
     rows = rows[:, :top]
     n, w = rows.shape
     if w - 1 < 1:
         raise ValueError("degree must be >= 1")
     lead = rows[:, -1]
-    if np.any(lead == 0):
+    if (lead == 0).any():
         raise ValueError("leading coefficient must be nonzero in every row")
 
     n_zero = 0
-    while n_zero < w - 1 and np.all(rows[:, n_zero] == 0):
+    while n_zero < w - 1 and not rows[:, n_zero].any():
         n_zero += 1
     rows = rows[:, n_zero:]
     d = rows.shape[1] - 1
@@ -113,57 +115,66 @@ def find_roots_many(
     active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         monic = rows / lead[:, None]
-        if not np.all(np.isfinite(monic)):  # a subnormal leading coefficient
+        if not np.isfinite(monic).all():  # a subnormal leading coefficient
             tiny = lead[np.argmin(np.abs(lead))]
             raise NonConvergence(f"dividing by leading coefficient {tiny:.3e} overflows")
-        x = _initial_guesses(monic)
         if start is not None and np.shape(start) == (n, d):
-            warm = np.asarray(start, dtype=complex)
-            x = np.where(_distinct_finite(warm)[:, None], warm, x)
+            x = np.array(start, dtype=complex)
+            cold = ~_distinct_finite(x)
+            if cold.any():
+                x[cold] = _initial_guesses(monic[cold])
+        else:
+            x = _initial_guesses(monic)
         # p and p' in one Horner pass: monic rows over derivative rows whose
-        # top coefficient is a zero
-        stacked = np.zeros((2, n, d + 1), dtype=complex)
-        stacked[0] = monic
-        stacked[1, :, :-1] = monic[:, 1:] * np.arange(1, d + 1)[None, :]
+        # top coefficient is a zero, one (2, n, 1) column per degree, top first
+        stacked = np.zeros((d + 1, 2, n, 1), dtype=complex)
+        stacked[:, 0, :, 0] = monic.T
+        stacked[:-1, 1, :, 0] = (monic[:, 1:] * np.arange(1, d + 1)[None, :]).T
+        cols = list(stacked[::-1])
         xa = x
         for _ in range(ABERTH_MAX_SWEEPS):
-            p, dp = _horner_many(stacked, xa)
+            acc = np.zeros((2, len(xa), d), dtype=complex)
+            for col in cols:
+                acc *= xa
+                acc += col
+            p, dp = acc
             newton = p / np.where(dp == 0, 1e-300, dp)
-            diff = xa[:, :, None] - xa[:, None, :]
-            diff.reshape(len(xa), d * d)[:, :: d + 1] = np.inf
-            inv = 1.0 / diff
-            s = np.sum(inv, axis=2)
+            inv = xa[:, :, None] - xa[:, None, :]
+            inv.reshape(len(xa), d * d)[:, :: d + 1] = np.inf
+            np.divide(1.0, inv, out=inv)
+            s = np.add.reduce(inv, axis=2)
             if np.isnan(s).any():
                 s = np.nansum(inv, axis=2)
             denom = 1.0 - newton * s
             step = newton / np.where(denom == 0, 1e-300, denom)
-            bad = ~np.isfinite(step)
-            if np.any(bad):
-                step = np.where(bad, newton, step)
+            finite = np.isfinite(step)
+            if not finite.all():
+                step = np.where(finite, step, newton)
             xa = xa - step
-            going = ~(np.max(np.abs(step) / (1.0 + np.abs(xa)), axis=1) <= _STEP_TOL)
-            if not np.all(going):
+            going = ~((np.abs(step) / (1.0 + np.abs(xa))).max(axis=1) <= _STEP_TOL)
+            if not going.all():
                 x[active] = xa
-                if not np.any(going):
+                if not going.any():
                     break
-                active, xa, stacked = active[going], xa[going], stacked[:, going]
+                active, xa = active[going], xa[going]
+                cols = list(stacked[::-1, :, active])
         else:
             x[active] = xa
 
         scale = np.zeros(x.shape, dtype=float)
         ax = np.abs(x)
+        amonic = np.abs(monic)
         for k in range(d + 1):
-            scale += np.abs(monic[:, k, None]) * ax**k
+            scale += amonic[:, k, None] * ax**k
         resid = np.abs(_horner_many(monic, x)) / np.where(scale == 0, 1.0, scale)
-        worst = np.max(resid)  # nan where a root's d-th power overflows
-    if not np.all(np.isfinite(x)) or not (worst <= ROOT_TOL):
+        worst = resid.max()  # nan where a root's d-th power overflows
+    if not np.isfinite(x).all() or not (worst <= ROOT_TOL):
         raise NonConvergence(
             f"root iteration residual {worst:.3e} exceeds tol {ROOT_TOL:.3e}"
         )
     if n_zero:
         x = np.concatenate([np.zeros((n, n_zero), dtype=complex), x], axis=1)
-    order = np.lexsort((x.imag, x.real), axis=1)
-    return np.take_along_axis(x, order, axis=1)
+    return np.sort(x, axis=1, kind="stable")
 
 
 def find_roots(coeffs) -> np.ndarray:
@@ -178,4 +189,4 @@ def min_modulus_on_circle(coeffs, center: complex, radius: float) -> float:
         raise ValueError("radius must be positive")
     pts = center + radius * _ROUCHE_CIRCLE
     vals = _horner_many(np.array([coeffs], dtype=complex), pts[None, :])
-    return float(np.min(np.abs(vals)))
+    return float(np.abs(vals).min())

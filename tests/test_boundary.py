@@ -285,6 +285,19 @@ def test_reconstruction_of_the_highest_order_that_fits_is_not_refused():
         reconstruction_B(spec, 3, 143)
 
 
+def test_column_norms_refuse_a_badly_scaled_y_plus_before_the_svd(monkeypatch):
+    # R143,-1's column norms span 1e59: their ratio bounds the singular-value
+    # ratio from above, so the refusal needs no SVD, and its message names it
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(SingularYPlus) as info:
+        reconstruction_B(ReconstructionSpec(143, -1, 0.0), 3, 143)
+    assert str(info.value).startswith("Y_plus column norms ")
+    assert str(info.value).endswith(f"at or below ratio {SINGULAR_RATIO_MIN:.0e}")
+
+
 def test_boundary_condition_from_reconstruction_minimal_m():
     s = template("o3")(0.5)
     bc = BoundaryCondition.from_reconstruction(ReconstructionSpec(3, 0, 0.4), s)

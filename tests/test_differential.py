@@ -3,6 +3,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from klstab.boundary import ReconstructionSpec
@@ -66,3 +67,34 @@ def test_differential_compares_map_cells_as_verdicts(field, value, fails):
     name = "cell " + ("diagnostic " if len(field) > 1 else "") + field[-1]
     assert counts[name] == 1 and sum(counts.values()) == 1
     assert differential.compare(a, changed)[1] is fails
+
+
+def test_differential_counts_the_roots_that_differ_bit_for_bit():
+    batches = [
+        {"scheme": "o3", "lam": 0.5, "radius": 2.0, "warm": False},
+        {"scheme": "lw5", "lam": 1.0, "radius": differential.WARM_RADIUS, "warm": True},
+        {"scheme": "upwind", "lam": 2.0, "radius": 1.0, "warm": False},
+    ]
+    a = _record(differential.check_inputs(1))
+    a["root_inputs"] = batches
+    a["roots"] = json.loads(json.dumps([differential.record_roots(b) for b in batches]))
+    # upwind at lambda 2: P_{-1} = 2 loses its leading coefficient
+    assert a["roots"][2] == {
+        "error": "ValueError: leading coefficient must be nonzero in every row"
+    }
+    assert np.shape(a["roots"][1]["re"]) == (129, 3)
+    counts, _, _ = differential.differences(a, a)
+    assert counts["roots"] == 0 and not differential.compare(a, a)[1]
+
+    changed = copy.deepcopy(a)
+    im = changed["roots"][1]["im"]
+    im[7][2] = float(np.nextafter(im[7][2], np.inf))
+    counts, _, _ = differential.differences(a, changed)
+    assert counts["roots"] == 1 and differential.compare(a, changed)[1]
+    changed["roots"][2] = a["roots"][0]  # a batch that raised on one side only
+    counts, _, _ = differential.differences(a, changed)
+    assert counts["roots"] == 1 + np.size(a["roots"][0]["re"])
+
+    changed["root_inputs"] = batches[:2]
+    with pytest.raises(ValueError):
+        differential.differences(a, changed)

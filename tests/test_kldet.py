@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from klstab.errors import (
     ShapeMismatch,
 )
 from klstab.kldet import (
+    CLUSTER_TOL,
     basis_matrices,
     delta,
     delta_reference,
@@ -28,7 +30,13 @@ from klstab.kldet import (
     write_curve_csv,
 )
 from klstab.poly import find_roots
-from klstab.scheme import Scheme, characteristic_polynomial, hersh_split, template
+from klstab.scheme import (
+    TOL_UNIT,
+    Scheme,
+    characteristic_polynomial,
+    hersh_split,
+    template,
+)
 from klstab.verdict import STATUS_MARGINAL, check
 from klstab.winding import winding_number
 
@@ -169,6 +177,77 @@ def test_rouche_count_of_a_split_multiple_root_is_the_cold_count(monkeypatch):
     assert np.max(np.abs(roots - 1.0)) <= 1e-4
     assert klstab.kldet._roots_from_inside(triple, 1.0, roots, [0, 1, 2]) == 1
     assert seen == [(False, 1, 1)] * 3
+
+
+def _counting_selections():
+    """Patch select_stable_roots in kldet to record each z it is called at."""
+    select = klstab.kldet.select_stable_roots
+    seen = []
+
+    def counting(s, z, roots):
+        seen.append(z)
+        return select(s, z, roots)
+
+    return mock.patch.object(klstab.kldet, "select_stable_roots", counting), seen
+
+
+def _needs_rouche(roots) -> bool:
+    """_select takes a Rouche count: a root in the TOL_UNIT band, or a
+    multi-root cluster with a root within CLUSTER_TOL of the circle."""
+    gap = np.abs(np.abs(roots) - 1.0)
+    if np.any(gap <= TOL_UNIT):
+        return True
+    clusters = klstab.kldet._cluster_indices(roots)
+    return any(len(c) > 1 and np.min(gap[c]) <= CLUSTER_TOL for c in clusters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["upwind", "o3", "lw5", "naive_average"]),
+    st.floats(0.01, 1.0),
+    st.lists(st.floats(0.0, math.pi), max_size=8),
+)
+@example("upwind", 1.0, [])
+@example("o3", 1.0, [0.1])
+@example("lw5", 1.0, [])
+@example("naive_average", 1.0, [])
+def test_batch_decides_each_point_as_select_stable_roots(name, lam, thetas):
+    # every row of _stable_sigmas is the per-point selection's sigma(z), bit
+    # for bit, and only a point that takes a Rouche count is selected alone
+    s = template(name)(lam)
+    _, grid = klstab.kldet._initial_grid(256)
+    zs = np.concatenate((grid, np.exp(1j * np.array(thetas))))
+    patch, seen = _counting_selections()
+    with patch:
+        sig = klstab.kldet._stable_sigmas(s, zs)
+    roots = klstab.kldet.find_roots_many(characteristic_polynomial(s, zs))
+    needy = set()
+    for i, z in enumerate(zs):
+        expected = np.array(sigmas_from_roots(select_stable_roots(s, z, roots[i])))
+        assert sig[i].tobytes() == expected.tobytes(), z
+        if _needs_rouche(roots[i]):
+            needy.add(z)
+    assert set(seen) == needy
+
+
+@pytest.mark.parametrize(
+    "lam, selections", [(0.5, 2), (0.95, 4), (0.98, 5), (0.995, 7)]
+)
+def test_grid_selects_alone_only_the_points_that_take_a_rouche_count(lam, selections):
+    # lw5's initial grid (R5,0's, or any boundary's): each point selected
+    # alone takes one Rouche count; the others are decided in the batch
+    patch, seen = _counting_selections()
+    count = klstab.kldet._roots_from_inside
+    counted = []
+
+    def counting(*args):
+        counted.append(args[1])
+        return count(*args)
+
+    with patch, mock.patch.object(klstab.kldet, "_roots_from_inside", counting):
+        _, zs = klstab.kldet._initial_grid(256)
+        klstab.kldet._stable_sigmas(template("lw5")(lam), zs)
+    assert seen == counted and len(seen) == selections
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import klstab.poly
 from conftest import brute_roots
 from klstab.errors import NonConvergence
 from klstab.poly import find_roots, find_roots_many, min_modulus_on_circle
@@ -160,21 +161,64 @@ def test_find_roots_many_starts_from_a_start_row():
         assert alone.tobytes() == warm[i].tobytes(), i
 
 
-def test_find_roots_many_start_rows_it_cannot_use_start_cold():
+def _counting_guesses(monkeypatch):
+    """Record the number of rows of each _initial_guesses call."""
+    guesses = klstab.poly._initial_guesses
+    calls = []
+
+    def counting(monic_rows):
+        calls.append(len(monic_rows))
+        return guesses(monic_rows)
+
+    monkeypatch.setattr(klstab.poly, "_initial_guesses", counting)
+    return calls
+
+
+def test_find_roots_many_start_rows_it_cannot_use_start_cold(monkeypatch):
     # two equal walkers never separate, and a point that is not finite goes
     # nowhere: such a row starts from the Newton-diagram guesses, bit for bit,
-    # and so does every row of a start of another width
+    # and so does every row of a start of another width; the guesses are
+    # taken for those rows only
     rows, roots = _lw5_rows_and_roots()
     cold = find_roots_many(rows)
     start = roots + 1e-3
     start[0, 1] = start[0, 3]
     start[1, 2] = np.nan
     start[2, 0] = np.inf
+    calls = _counting_guesses(monkeypatch)
     warm = find_roots_many(rows, start)
     for i in range(3):
         assert warm[i].tobytes() == cold[i].tobytes(), i
     assert np.max(np.abs(warm[3:] - cold[3:])) <= 1e-12
     assert find_roots_many(rows, roots[:, 1:]).tobytes() == cold.tobytes()
+    assert calls == [3, len(rows)]
+
+
+def test_find_roots_many_start_every_row_can_use_skips_the_guesses(monkeypatch):
+    rows, roots = _lw5_rows_and_roots()
+    calls = _counting_guesses(monkeypatch)
+    find_roots_many(rows, roots + 1e-3)
+    find_roots_many(rows[:1], roots[:1])
+    assert calls == []
+    find_roots_many(rows)
+    assert calls == [len(rows)]
+
+
+def test_stable_complex_sort_is_the_real_then_imag_lexsort():
+    # the order find_roots_many returns: ties in the real part, -0.0 and
+    # +0.0 included, fall to the imaginary part, and equal keys keep their
+    # places
+    x = np.array(
+        [[1j, complex(-0.0, -1.0), complex(-0.0, 1.0), -2.0, complex(0.0, -1.0), 1j]]
+    )
+    order = np.lexsort((x.imag, x.real), axis=1)
+    lex = np.take_along_axis(x, order, axis=1)
+    assert np.sort(x, axis=1, kind="stable").tobytes() == lex.tobytes()
+    # roots 0 (split off), +-i and -2 of x^4 + 2 x^3 + x^2 + 2 x
+    roots = find_roots_many(np.array([[0, 2, 1, 2, 1]], dtype=complex))
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    assert roots.tobytes() == np.take_along_axis(roots, order, axis=1).tobytes()
+    assert all(np.min(np.abs(roots - r)) <= 1e-12 for r in (-2, -1j, 0, 1j))
 
 
 @pytest.mark.parametrize("name", ["upwind", "o3", "lw5"])

@@ -34,14 +34,21 @@ share.  The JSON it writes holds, per input, the status, winding, zeros,
 every diagnostic and the traced curve (thetas, values, depths); per map, its
 CSV text and, row-major, each cell's status, winding, zeros and diagnostics,
 recorded as a check's are.  A check that raises is recorded with status
-``raised <ExceptionType>`` and the message as its error.
+``raised <ExceptionType>`` and the message as its error.  Last come the
+ROOTS batches: ``find_roots_many`` on P_z of upwind, o3, lw5 and
+naive_average at each of ROOT_LAMBDAS, over the z of the initial grid times
+each of ROOT_RADII (on the circle, inside it and outside it), cold, and once
+more at WARM_RADIUS times the grid, started from the roots on the circle less
+their exact zeros.  Each batch is recorded as its roots' real and imaginary
+parts, or as the error it raised.
 
 ``compare`` prints how many values differ in each field (a map cell's fields
 prefixed ``cell``), the largest relative difference of the curve values and of
-each numeric diagnostic, and whether the map CSVs are byte-identical.  It
-exits 1 on any verdict (status, winding, zeros, of a check or a map cell),
-sample-set (curve presence, thetas, depths) or CSV difference, and when the
-two records were made from different inputs.
+each numeric diagnostic, whether the map CSVs are byte-identical, and how
+many roots differ bit for bit.  It exits 1 on any verdict (status, winding,
+zeros, of a check or a map cell), sample-set (curve presence, thetas, depths),
+CSV or root difference, and when the two records were made from different
+inputs.
 """
 
 from __future__ import annotations
@@ -105,11 +112,15 @@ MAPS = {
     "lw5 R5,0 8x8 from 0.02": ("lw5", 5, 0, (0.02, 1.0, 8), (-0.49, 0.49, 8)),
     "o3 R3,0 4x4 over 0.9..1.2": ("o3", 3, 0, (0.9, 1.2, 4), (-0.49, 0.49, 4)),
 }
+ROOT_SCHEMES = ("upwind", "o3", "lw5", "naive_average")
+ROOT_LAMBDAS = (0.3, 0.75, 0.95, 1.0, 2.0)
+ROOT_RADII = (1.0, 0.5, 2.0)
+WARM_RADIUS = 1.0 + 1e-4
 VERDICT = ("status", "winding", "zeros")
 CELL = "cell "  # prefix of a map cell's fields in the counts
 # Fields whose difference, like any map CSV's, makes ``compare`` fail.
 FATAL = VERDICT + tuple(CELL + f for f in VERDICT) + (
-    "curve presence", "curve thetas", "curve depths",
+    "curve presence", "curve thetas", "curve depths", "roots",
 )
 
 
@@ -216,12 +227,66 @@ def record_maps() -> tuple[dict[str, str], dict[str, list[dict]]]:
     return csvs, cells
 
 
+def root_inputs() -> list[dict]:
+    """The ROOTS batches: cold at each of ROOT_RADII, then warm at WARM_RADIUS."""
+    return [
+        {"scheme": name, "lam": lam, "radius": radius, "warm": radius == WARM_RADIUS}
+        for name in ROOT_SCHEMES
+        for lam in ROOT_LAMBDAS
+        for radius in ROOT_RADII + (WARM_RADIUS,)
+    ]
+
+
+def record_roots(inp: dict) -> dict:
+    """The roots of one ROOTS batch, or the error it raised, JSON-ready."""
+    from klstab.kldet import _initial_grid
+    from klstab.poly import find_roots_many
+    from klstab.scheme import characteristic_polynomial, template
+
+    _, zs = _initial_grid(N_INIT)
+    s = template(inp["scheme"])(inp["lam"])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = None
+            if inp["warm"]:
+                at_z = find_roots_many(characteristic_polynomial(s, zs))
+                start = at_z[at_z != 0].reshape(len(zs), -1)
+            rows = characteristic_polynomial(s, inp["radius"] * zs)
+            roots = find_roots_many(rows, start)
+    except Exception as exc:  # a raise or a warning is an output to compare
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"re": roots.real.tolist(), "im": roots.imag.tolist()}
+
+
 def record() -> dict:
     fixed = EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE + PREBUILT + ROUCHE
     inputs = check_inputs(COUNT) + fixed
     checks = [run_check(inp) for inp in inputs]
     csvs, cells = record_maps()
-    return {"inputs": inputs, "checks": checks, "maps": csvs, "map_cells": cells}
+    batches = root_inputs()
+    return {
+        "inputs": inputs,
+        "checks": checks,
+        "maps": csvs,
+        "map_cells": cells,
+        "root_inputs": batches,
+        "roots": [record_roots(inp) for inp in batches],
+    }
+
+
+def _root_differences(ra: dict, rb: dict) -> int:
+    """How many roots of one ROOTS batch differ bit for bit; a batch that
+    raised on one side only, or raised otherwise, counts as all its roots."""
+    if "error" in ra or "error" in rb:
+        if ra == rb:
+            return 0
+        solved = [r for r in (ra, rb) if "re" in r]
+        return np.size(solved[0]["re"]) if solved else 1
+    bits = [np.array([r["re"], r["im"]]).view(np.uint64) for r in (ra, rb)]
+    if bits[0].shape != bits[1].shape:
+        return max(b[0].size for b in bits)
+    return int(np.count_nonzero((bits[0] != bits[1]).any(axis=0)))
 
 
 def _rel(a: float, b: float) -> float:
@@ -252,9 +317,10 @@ def differences(a: dict, b: dict) -> tuple[Counter, dict[str, float], Counter]:
     value is 2 pi minus the other (a mirrored ``cauchy_xi_worst``).  Curve
     values are compared sample by sample as |va - vb| / max(|va|, |vb|), and
     only where both sample sets are equal.  Map cells are counted as checks
-    are, under their own field names.
+    are, under their own field names, and ROOTS batches as the number of
+    roots that differ bit for bit.
     """
-    if a["inputs"] != b["inputs"]:
+    if a["inputs"] != b["inputs"] or a.get("root_inputs") != b.get("root_inputs"):
         raise ValueError("the records were made from different inputs")
     counts: Counter = Counter()
     mirrored: Counter = Counter()
@@ -279,6 +345,8 @@ def differences(a: dict, b: dict) -> tuple[Counter, dict[str, float], Counter]:
         counts[f"map {key}"] += a["maps"].get(key) != b["maps"].get(key)
         for ca, cb in zip(a["map_cells"].get(key, ()), b["map_cells"].get(key, ())):
             _count_verdict(ca, cb, CELL, counts, rel, mirrored)
+    for ra, rb in zip(a.get("roots", ()), b.get("roots", ())):
+        counts["roots"] += _root_differences(ra, rb)
     return counts, rel, mirrored
 
 
