@@ -71,7 +71,7 @@ def reconstruction_matrices(
         raise ValueError("r must be >= 1")
     w, d, sigma = spec.width, spec.d, spec.sigma
     try:  # the largest power and factorial below, tried before Y_plus is allocated
-        max(w - 0.5 - sigma, r + 0.5 + sigma) ** d / math.factorial(d)
+        float(max(w - 0.5 - sigma, r + 0.5 + sigma)) ** d / math.factorial(d)
     except OverflowError:
         raise ValueError(f"order d = {d} overflows the cell averages") from None
     y_minus = np.empty((r, w))

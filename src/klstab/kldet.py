@@ -4,12 +4,12 @@ For |z| > 1 the characteristic polynomial has exactly r roots inside the unit
 disk (Hersh separation); their monic product X^r + s_{r-1}X^{r-1} + ... + s_0
 drives a column elimination of the boundary matrix calB down to an r x r matrix
 Bt, and the determinant D(z) = det(z I_r - Bt) is holomorphic outside the disk
-and continuous up to it.  One rule picks the r roots at every |z| >= 1: roots
-clearly inside are taken, roots clearly outside are left, and roots in the
-circle band are resolved by a Rouche perturbation: nudge z radially outward by
-half the certified radius and count how many nearby roots land inside the
-disk, i.e. how many members of the cluster arrived from the inside.  For a
-lone band root the re-solve at the nudged z starts from the roots at z.
+and continuous up to it.  One rule picks the r roots at every |z| >= 1, by
+Smith's inclusion disks (``_inclusion_radii``): a connected component of
+overlapping disks wholly inside the circle is taken, one wholly outside is
+left, and one that meets the circle takes a Rouche count: nudge z radially
+outward by half the certified radius and count how many of its roots land
+inside the disk.  A lone root's re-solve starts from the roots at z.
 
 Each kernel has one implementation over a batch of z values: the rows of P_z
 (``scheme.characteristic_polynomial``), the monic product (``_monic_product``),
@@ -21,10 +21,10 @@ sigma(z) rows of its initial grid in the scheme's ``grid_sigmas``, which every
 boundary traced on that Scheme instance (a sweep's lambda row) reads.  The
 coefficients are real, so D(conj z) = conj D(z): ``kl_curve`` traces and
 refines only the upper half of the circle, from z = 1 to z = -1, and mirrors
-it.  A point takes its r inside roots in the batch unless a root lies in the
-TOL_UNIT band or in a multi-root cluster near the circle, where the rule
-above takes a Rouche count: only such a point passes its already-solved
-roots, one point at a time, to ``select_stable_roots``.
+it.  A point whose disks each lie wholly on one side, r of them inside,
+takes those r roots in the batch; only a point with a disk that meets the
+circle passes its already-solved roots, one point at a time, to
+``select_stable_roots``.
 
 Sampling theta -> D(e^{i theta}) with adaptive bisection driven by the winding
 module's refinement predicate yields the closed curve whose winding number
@@ -48,11 +48,11 @@ from .errors import (
     SelectionFailure,
     ShapeMismatch,
 )
-from .poly import find_roots_many, min_modulus_on_circle
+from .poly import _horner_many, find_roots_many, min_modulus_on_circle
 from .scheme import TOL_UNIT, Scheme, characteristic_polynomial
 from .winding import MAX_MODULUS, needs_refinement
 
-CLUSTER_TOL = 1e-7
+CLUSTER_TOL = 1e-7  # roots this close have no power basis (basis_matrices)
 EPSILON_CAP = 0.1
 MAX_REFINE_DEPTH = 20
 MIN_INIT_SAMPLES = 64
@@ -72,25 +72,42 @@ class KLCurve:
         return len(self.thetas)
 
 
-def _cluster_indices(roots: np.ndarray) -> list[list[int]]:
-    """Single-linkage clusters of root indices at distance CLUSTER_TOL."""
-    n = len(roots)
-    parent = list(range(n))
+def _disk_components(roots: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(d, d) bool, [i, j] when disks i and j are in one overlapping component."""
+    reach = np.abs(roots[:, None] - roots[None, :]) <= radii[:, None] + radii[None, :]
+    reach |= np.eye(len(roots), dtype=bool)
+    for _ in range((len(roots) - 2).bit_length()):  # paths of up to d - 1 steps
+        reach = reach @ reach
+    return reach
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= CLUSTER_TOL:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _inclusion_radii(s: Scheme, zs, rows: np.ndarray, roots: np.ndarray):
+    """Smith's radii d (|p(x_i)| + 2 d u sum_k b_k |x_i|^k) / (|c_d| prod_{j != i}
+    |x_i - x_j|) about the roots x_i of each row of P_z: a component of k
+    overlapping disks holds k roots of the degree-d row (B. T. Smith, J. ACM
+    17 (1970)).  b_k = |c_k| bounds Horner's rounding, and b_r = |a_0 - z| +
+    |z| that of a_0 - z as it was formed too.  |p(x_i)| also takes
+    |sum a_k - 1| |x_i|^r, so the disks hold the roots of the consistent
+    scheme next to the stored one.  Exact zeros, shared by the rows, get
+    radius 0; the rest are of the row deflated by them.  Equal x_i or an
+    overflow give inf or nan, which decides nothing."""
+    n_zero = roots.shape[1] - np.count_nonzero(roots[0]) if len(roots) else 0
+    x = roots[roots != 0].reshape(len(roots), -1) if n_zero else roots
+    d, ax = x.shape[1], np.abs(x)
+    bounds = np.abs(rows)
+    bounds[:, s.r] += np.abs(zs)
+    rows, bounds = rows[:, n_zero : n_zero + d + 1], bounds[:, n_zero : n_zero + d + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, b = _horner_many(np.stack((rows, bounds)), np.stack((x, ax)))
+        gaps = np.abs(x[:, :, None] - x[:, None, :]) + np.eye(d)
+        defect = abs(s.char_row.sum() - 1.0) * ax ** (s.r - n_zero)
+        rad = d * (np.abs(p) + defect + d * np.finfo(float).eps * b.real)
+        rad /= np.abs(rows[:, -1:]) * gaps.prod(axis=2)
+    if not n_zero:
+        return rad
+    radii = np.zeros(roots.shape)
+    radii[roots != 0] = rad.ravel()
+    return radii
 
 
 def _monic_product(roots: np.ndarray) -> np.ndarray:
@@ -110,45 +127,43 @@ def sigmas_from_roots(roots) -> tuple[complex, ...]:
     return tuple(_monic_product(np.asarray(roots, dtype=complex).reshape(1, -1))[0])
 
 
-def select_stable_roots(s: Scheme, z: complex, roots) -> np.ndarray:
+def select_stable_roots(s: Scheme, z: complex, roots, radii=None) -> np.ndarray:
     """The r roots of P_z inside (or continued from inside) the unit disk,
     as an array sorted by (real, imag).
 
-    ``roots`` holds every root of P_z; nothing is solved here.  Clusters
-    clearly inside the disk are taken, clusters clearly outside are left, and
-    a cluster in the band |1 - |kappa|| <= TOL_UNIT (or straddling the circle)
-    is resolved by re-solving at z' = (1 + eta/2) z and counting its roots
-    that land inside.  A count other than r raises CauchyViolation: for
-    |z| > 1 a whole-line-stable scheme has exactly r roots inside (Hersh).
+    ``roots`` holds every root of P_z; nothing is solved here, and ``radii``,
+    their inclusion radii, are computed unless given.  A component of
+    overlapping inclusion disks wholly inside the circle is taken, one wholly
+    outside is left, and one that meets the circle is resolved by re-solving
+    at z' = (1 + eta/2) z and counting its roots that land inside.  A count
+    other than r raises CauchyViolation: for |z| > 1 a whole-line-stable
+    scheme has exactly r roots inside (Hersh).
     """
     if s.r < 1:
         raise ValueError("selection requires r >= 1")
     z = complex(z)
     if abs(z) < 1.0 - TOL_UNIT:
         raise ValueError(f"|z| = {abs(z)} below the unit circle band")
-    chosen = _select(s, z, np.asarray(roots, dtype=complex))
+    roots = np.asarray(roots, dtype=complex)
+    if radii is None:
+        row = characteristic_polynomial(s, z)[None]
+        radii = _inclusion_radii(s, z, row, roots[None])[0]
+    chosen = _select(s, z, roots, radii)
     return np.array(sorted(chosen, key=lambda x: (x.real, x.imag)))
 
 
-def _select(s, z, roots):
+def _select(s, z, roots, radii):
     moduli = np.abs(roots)
-    chosen: list[complex] = []
-    for idx in _cluster_indices(roots):
-        mods = moduli[idx]
-        # A multi-root cluster hugging the circle may be a split multiple root
-        # whose true location is on it; only clearly-separated clusters classify
-        # by side, the rest go through the perturbation count.
-        band = TOL_UNIT if len(idx) == 1 else CLUSTER_TOL
-        if np.max(mods) < 1.0 - band:
-            chosen.extend(roots[i] for i in idx)
-        elif np.min(mods) > 1.0 + band:
+    gap = moduli - 1.0  # exact near the circle, so one rounding decides all sides
+    reach = _disk_components(roots, radii)
+    meets = reach @ ~(np.abs(gap) > radii)  # the component meets the circle
+    chosen = list(roots[(-gap > radii) & ~meets])
+    for i in np.flatnonzero(meets):
+        if reach[i, :i].any():  # one Rouche count per component, at its first root
             continue
-        else:
-            count = _roots_from_inside(s, z, roots, idx)
-            members = sorted(
-                (roots[i] for i in idx), key=lambda x: (abs(x), x.real, x.imag)
-            )
-            chosen.extend(members[:count])
+        idx = np.flatnonzero(reach[i])
+        count = _roots_from_inside(s, z, roots, idx)
+        chosen.extend(sorted(roots[idx], key=lambda x: (abs(x), x.real, x.imag))[:count])
     if len(chosen) != s.r:
         raise CauchyViolation(
             f"selected {len(chosen)} roots instead of r={s.r} at z={z}; "
@@ -166,11 +181,8 @@ def _roots_from_inside(s, z, roots, cluster_idx) -> int:
     """
     members = roots[cluster_idx]
     center = complex(np.mean(members))
-    others = np.delete(roots, cluster_idx)
-    if len(others):
-        eps = min(EPSILON_CAP, 0.5 * float(np.min(np.abs(others - center))))
-    else:
-        eps = EPSILON_CAP
+    others = np.abs(np.delete(roots, cluster_idx) - center)
+    eps = min(EPSILON_CAP, 0.5 * float(others.min())) if len(others) else EPSILON_CAP
     spread = float(np.max(np.abs(members - center))) if len(members) > 1 else 0.0
     if eps <= 2.0 * spread:
         raise SelectionFailure(
@@ -188,8 +200,8 @@ def _roots_from_inside(s, z, roots, cluster_idx) -> int:
         )
     z_out = (1.0 + eta / 2.0) * z
     # each root at z is within O(eta) of one at z'; the solver splits the
-    # exact zeros off again.  Walkers started on a split multiple root,
-    # within CLUSTER_TOL of each other, separate slowly.
+    # exact zeros off again.  Walkers started on a split multiple root, whose
+    # disks form one component, separate slowly.
     start = roots[roots != 0][None, :] if len(members) == 1 else None
     p_out = characteristic_polynomial(s, np.array([z_out]))
     moved = find_roots_many(p_out, start)[0]
@@ -249,7 +261,8 @@ def basis_matrices(roots, rows: int) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if rows < len(roots):
         raise ShapeMismatch(f"rows={rows} below r={len(roots)}")
-    if len(_cluster_indices(roots)) < len(roots):
+    gaps = np.abs(np.subtract.outer(roots, roots))[np.triu_indices(len(roots), 1)]
+    if (gaps <= CLUSTER_TOL).any():
         raise MultipleRoot(f"clustered stable roots {roots}")
     return roots ** np.arange(rows)[:, None]
 
@@ -271,28 +284,22 @@ def _stable_sigmas(s: Scheme, zs: np.ndarray) -> np.ndarray:
     """sigma(z) at each z of a 1-D array: the scheme-side half of Delta.
 
     The points are solved in one batch.  A point takes the batched split, its
-    r roots inside the disk in the solver's (real, imag) order, when every
-    root within CLUSTER_TOL of the circle is a lone root (no other root within
-    CLUSTER_TOL) outside the TOL_UNIT band: that is ``_select``'s own rule for
-    such a point.  Only a point with a root in the TOL_UNIT band or in a
-    multi-root cluster near the circle, where ``_select`` takes a Rouche count,
-    or with other than r roots inside, goes through select_stable_roots.
+    r roots inside in the solver's (real, imag) order, when each inclusion
+    disk lies wholly inside or wholly outside the circle and r lie inside:
+    that is ``_select``'s own rule for such a point.  Only a point with a disk
+    that meets the circle, where ``_select`` takes a Rouche count, or with
+    other than r disks inside, goes through select_stable_roots.
     """
-    roots = find_roots_many(characteristic_polynomial(s, zs))
-    moduli = np.abs(roots)
-    inside = moduli < 1.0 - TOL_UNIT
-    band = ~inside & ~(moduli > 1.0 + TOL_UNIT)
-    near = ~(moduli < 1.0 - CLUSTER_TOL) & ~(moduli > 1.0 + CLUSTER_TOL)
-    at = near.any(axis=1)
-    # keep the near roots linked to another root, as _cluster_indices links them
-    links = np.abs(roots[at, :, None] - roots[at, None, :]) <= CLUSTER_TOL
-    near[at] &= links.sum(axis=2) > 1
-    batch = ~(band | near).any(axis=1) & (inside.sum(axis=1) == s.r)
+    rows = characteristic_polynomial(s, zs)
+    roots = find_roots_many(rows)
+    gap, radii = np.abs(roots) - 1.0, _inclusion_radii(s, zs, rows, roots)
+    inside = -gap > radii
+    batch = (np.abs(gap) > radii).all(axis=1) & (inside.sum(axis=1) == s.r)
 
     sig = np.empty((len(zs), s.r), dtype=complex)
     sig[batch] = _monic_product(roots[batch][inside[batch]].reshape(-1, s.r))
     for i in np.flatnonzero(~batch):
-        sig[i] = sigmas_from_roots(select_stable_roots(s, zs[i], roots[i]))
+        sig[i] = sigmas_from_roots(select_stable_roots(s, zs[i], roots[i], radii[i]))
     return sig
 
 

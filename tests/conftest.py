@@ -57,15 +57,11 @@ def brute_roots(coeffs_ascending) -> np.ndarray:
     return np.roots(cs[::-1])
 
 
-def mp_delta(s, bc, z) -> complex:
-    """Third oracle: det(z K[:r] - calB K) / det(K[:r]) in mpmath, 40 digits.
+def mp_roots(s, z) -> list:
+    """Every finite root of P_z in mpmath, 40 digits, z an mpmath or Python number.
 
     P_z's exactly-zero end coefficients are trimmed first: low ones are roots
-    at 0, high ones roots at infinity; ``mp.polyroots`` finds the rest.  The r
-    roots inside the unit circle give the basis columns of K.  A repeated root
-    gets confluent columns C(n, q) kappa^(n-q), which stay independent at
-    kappa = 0; ``delta_reference`` refuses repeated roots, so this is the
-    reference there.
+    at 0, high ones roots at infinity; ``mp.polyroots`` finds the rest.
     """
     with mp.workdps(40):
         cs = [mp.mpc(a) for a in s.coeff_array()]
@@ -75,8 +71,20 @@ def mp_delta(s, bc, z) -> complex:
         zeros = next(i for i, c in enumerate(cs) if c != 0)
         roots = [mp.mpc(0)] * zeros
         if len(cs) - zeros > 1:
-            roots += mp.polyroots(cs[zeros:][::-1], maxsteps=200, extraprec=40)
-        inside = [x for x in roots if abs(x) < 1]
+            roots += mp.polyroots(cs[zeros:][::-1], maxsteps=200, extraprec=200)
+        return roots
+
+
+def mp_delta(s, bc, z) -> complex:
+    """Third oracle: det(z K[:r] - calB K) / det(K[:r]) in mpmath, 40 digits.
+
+    The r roots of P_z (``mp_roots``) inside the unit circle give the basis
+    columns of K.  A repeated root gets confluent columns C(n, q)
+    kappa^(n-q), which stay independent at kappa = 0; ``delta_reference``
+    refuses repeated roots, so this is the reference there.
+    """
+    with mp.workdps(40):
+        inside = [x for x in mp_roots(s, z) if abs(x) < 1]
         assert len(inside) == s.r, f"{len(inside)} roots inside, r = {s.r}"
         groups: list[list] = []
         for x in inside:

@@ -275,6 +275,16 @@ def test_reconstruction_refuses_an_order_that_overflows(name, d, k_d):
     assert v.error == f"ValueError: order d = {d} overflows the cell averages"
 
 
+def test_an_overflowing_order_with_a_numpy_sigma_is_refused_without_warning():
+    # a numpy float sigma makes the guard's power a numpy scalar, which
+    # overflows to inf with a RuntimeWarning instead of raising
+    spec = ReconstructionSpec(144, 0, np.float64(0.49999999999999994))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check(template("upwind"), spec, 1.0)
+    assert v.error == "ValueError: order d = 144 overflows the cell averages"
+
+
 def test_reconstruction_of_the_highest_order_that_fits_is_not_refused():
     # R143,-1 still builds its averages, at sigma = -1/2 too, where its largest
     # power is exactly 143^143: the order guard is not a cap

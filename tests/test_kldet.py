@@ -3,13 +3,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import klstab.kldet
-from conftest import brute_roots, mp_delta, o3_Btilde_golden, recon_bc
+from conftest import brute_roots, mp_delta, mp_roots, o3_Btilde_golden, recon_bc
 from klstab.boundary import BoundaryCondition, ReconstructionSpec, build_calB
 from klstab.errors import (
     CauchyViolation,
@@ -35,10 +36,14 @@ from klstab.scheme import (
     Scheme,
     characteristic_polynomial,
     hersh_split,
+    parse_scheme_line,
     template,
 )
 from klstab.verdict import STATUS_MARGINAL, check
 from klstab.winding import winding_number
+
+
+TRIPLE_ROOT_LINE = "1 2 0.125 0.625 0.375 -0.125"  # P_1 = (1 - kappa)^3 / 8
 
 
 def shift_scheme():
@@ -47,6 +52,32 @@ def shift_scheme():
 
 def roots_at(s, z):
     return find_roots(characteristic_polynomial(s, z))
+
+
+def radii_at(s, z, roots):
+    row = characteristic_polynomial(s, z)[None]
+    return klstab.kldet._inclusion_radii(s, z, row, roots[None])[0]
+
+
+def disk_components(s, z, roots):
+    reach = klstab.kldet._disk_components(roots, radii_at(s, z, roots))
+    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+
+
+def component_sizes(s, z, roots):
+    return sorted(len(c) for c in disk_components(s, z, roots))
+
+
+def counting_rouche():
+    """Patch _roots_from_inside in kldet to record (z, cluster size) per count."""
+    count = klstab.kldet._roots_from_inside
+    seen = []
+
+    def counting(s, z, roots, cluster_idx):
+        seen.append((z, len(cluster_idx)))
+        return count(s, z, roots, cluster_idx)
+
+    return mock.patch.object(klstab.kldet, "_roots_from_inside", counting), seen
 
 
 def zero_boundary(s: Scheme, m: int) -> BoundaryCondition:
@@ -102,14 +133,77 @@ def test_select_o3_exterior_matches_brute_force():
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_select_resolves_a_double_root_on_the_circle(z):
     # naive_average at lambda 0.5: P_z = (kappa - z)^2 / 2 at z = +-1, which
-    # the root finder splits into one two-root cluster in the circle band;
-    # the Rouche count takes one of its roots
+    # the root finder splits into two overlapping inclusion disks, one
+    # component that meets the circle; one Rouche count takes one of its roots
     s = template("naive_average")(0.5)
     roots = np.asarray(roots_at(s, z))
-    assert [len(c) for c in klstab.kldet._cluster_indices(roots)] == [2]
-    chosen = select_stable_roots(s, z, roots)
+    assert component_sizes(s, z, roots) == [2]
+    patch, counted = counting_rouche()
+    with patch:
+        chosen = select_stable_roots(s, z, roots)
+    assert counted == [(z, 2)]
     assert len(chosen) == 1
     assert abs(chosen[0] - z) <= 1e-8
+
+
+def test_a_split_triple_root_is_one_disk_component_and_one_rouche_count():
+    # rounding splits the triple root at z = 1 by about 1.7e-5, much more
+    # than CLUSTER_TOL; its three inclusion disks still overlap, so one
+    # Rouche count over all three takes the one root continued from inside
+    s = parse_scheme_line(TRIPLE_ROOT_LINE)
+    roots = roots_at(s, 1.0)
+    spread = np.abs(roots[:, None] - roots[None, :]).max()
+    assert 10 * CLUSTER_TOL < spread < 1e-4
+    assert component_sizes(s, 1.0, roots) == [3]
+    patch, counted = counting_rouche()
+    with patch:
+        chosen = select_stable_roots(s, 1.0, roots)
+    assert counted == [(1.0, 3)]
+    assert len(chosen) == 1 and abs(chosen[0] - 1.0) <= 1e-4
+
+
+def _inside_by_component(s, z, roots):
+    """Per disk component of the roots at z, the number of roots of P_z at
+    (1 + 1e-8) z, solved in mpmath, that lie inside the unit disk; each
+    mpmath root belongs to the component of its nearest root at z."""
+    components = disk_components(s, z, roots)
+    owner = np.empty(len(roots), dtype=int)
+    for k, idx in enumerate(components):
+        owner[idx] = k
+    counts = [0] * len(components)
+    for x in mp_roots(s, mp.mpc(z) * (1 + mp.mpf("1e-8"))):
+        nearest = int(np.argmin(np.abs(roots - complex(x))))
+        assert abs(roots[nearest] - complex(x)) < 1e-2 * max(1.0, abs(complex(x)))
+        counts[owner[nearest]] += abs(x) < 1
+    return components, counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["upwind", "o3", "lw5", "naive_average", TRIPLE_ROOT_LINE]),
+    st.floats(0.01, 1.0),
+    st.floats(1.0, 1.01),
+    st.floats(0.0, 2.0 * math.pi),
+)
+@example(TRIPLE_ROOT_LINE, 0.5, 1.0, 0.0)
+@example("naive_average", 0.5, 1.0, 0.0)
+@example("naive_average", 0.5, 1.0, math.pi)
+@example("o3", 1.0, 1.0, 0.3)
+@example("lw5", 0.98, 1.0, 0.0)
+@example("upwind", 0.8540973657885962, 1.0, 1e-7)
+def test_selection_is_the_inside_roots_just_outside_the_circle(
+    name, lam, modulus, theta
+):
+    # the selection at z continues the roots inside at (1 + 1e-8) z: each
+    # disk component gives as many roots as mpmath finds inside there.  The
+    # upwind example puts kappa 9e-16 inside the circle, just past its disk
+    s = parse_scheme_line(name, lam) if " " in name else template(name)(lam)
+    z = modulus * complex(math.cos(theta), math.sin(theta))
+    roots = roots_at(s, z)
+    chosen = select_stable_roots(s, z, roots)
+    components, inside = _inside_by_component(s, z, roots)
+    taken = [sum(np.any(chosen == x) for x in roots[idx]) for idx in components]
+    assert taken == inside and sum(inside) == s.r
 
 
 def _warm_and_cold_counts(monkeypatch):
@@ -141,8 +235,15 @@ def _warm_and_cold_counts(monkeypatch):
     return seen
 
 
+def _band_roots(s, zs) -> int:
+    """Roots of P_z over zs within TOL_UNIT of the circle: the fixed band in
+    which every root took a Rouche count before the inclusion disks."""
+    roots = klstab.kldet.find_roots_many(characteristic_polynomial(s, zs))
+    return int(np.sum(np.abs(np.abs(roots) - 1.0) <= TOL_UNIT))
+
+
 @pytest.mark.parametrize(
-    "name, lam, solves",
+    "name, lam, band",
     [
         ("o3", 1.0, 129),
         ("o3", 2.0, 258),
@@ -154,14 +255,17 @@ def _warm_and_cold_counts(monkeypatch):
     ],
 )
 def test_rouche_count_started_from_the_roots_at_z_is_the_cold_count(
-    monkeypatch, name, lam, solves
+    monkeypatch, name, lam, band
 ):
-    # every grid point off the fast path: each band root is a lone root, so
-    # its re-solve starts from the roots at z, and counts as a cold one does
-    seen = _warm_and_cold_counts(monkeypatch)
+    # each Rouche count is of a lone root, so its re-solve starts from the
+    # roots at z, and counts as a cold one does.  At integer lambda every
+    # band root's disk meets the circle; near it, only kappa = 1 at z = 1 does
+    s = template(name)(lam)
     _, zs = klstab.kldet._initial_grid(256)
-    klstab.kldet._stable_sigmas(template(name)(lam), zs)
-    assert len(seen) == solves
+    assert _band_roots(s, zs) == band
+    seen = _warm_and_cold_counts(monkeypatch)
+    klstab.kldet._stable_sigmas(s, zs)
+    assert len(seen) == (band if lam in (1.0, 2.0) else 1)
     assert all(started and warm == cold for started, warm, cold in seen)
 
 
@@ -184,21 +288,16 @@ def _counting_selections():
     select = klstab.kldet.select_stable_roots
     seen = []
 
-    def counting(s, z, roots):
+    def counting(s, z, roots, radii=None):
         seen.append(z)
-        return select(s, z, roots)
+        return select(s, z, roots, radii)
 
     return mock.patch.object(klstab.kldet, "select_stable_roots", counting), seen
 
 
-def _needs_rouche(roots) -> bool:
-    """_select takes a Rouche count: a root in the TOL_UNIT band, or a
-    multi-root cluster with a root within CLUSTER_TOL of the circle."""
-    gap = np.abs(np.abs(roots) - 1.0)
-    if np.any(gap <= TOL_UNIT):
-        return True
-    clusters = klstab.kldet._cluster_indices(roots)
-    return any(len(c) > 1 and np.min(gap[c]) <= CLUSTER_TOL for c in clusters)
+def _needs_rouche(s, z, roots) -> bool:
+    """_select takes a Rouche count: an inclusion disk meets the circle."""
+    return not np.all(np.abs(np.abs(roots) - 1.0) > radii_at(s, z, roots))
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,29 +324,24 @@ def test_batch_decides_each_point_as_select_stable_roots(name, lam, thetas):
     for i, z in enumerate(zs):
         expected = np.array(sigmas_from_roots(select_stable_roots(s, z, roots[i])))
         assert sig[i].tobytes() == expected.tobytes(), z
-        if _needs_rouche(roots[i]):
+        if _needs_rouche(s, z, roots[i]):
             needy.add(z)
     assert set(seen) == needy
 
 
-@pytest.mark.parametrize(
-    "lam, selections", [(0.5, 2), (0.95, 4), (0.98, 5), (0.995, 7)]
-)
-def test_grid_selects_alone_only_the_points_that_take_a_rouche_count(lam, selections):
-    # lw5's initial grid (R5,0's, or any boundary's): each point selected
-    # alone takes one Rouche count; the others are decided in the batch
+@pytest.mark.parametrize("lam, band", [(0.5, 2), (0.95, 4), (0.98, 5), (0.995, 7)])
+def test_grid_selects_alone_only_the_points_that_take_a_rouche_count(lam, band):
+    # lw5's initial grid (R5,0's, or any boundary's): of its points with a
+    # root in the TOL_UNIT band only z = 1, where kappa = 1 is exact, has a
+    # disk that meets the circle and takes a Rouche count; the others are
+    # decided in the batch
+    _, zs = klstab.kldet._initial_grid(256)
+    assert _band_roots(template("lw5")(lam), zs) == band
     patch, seen = _counting_selections()
-    count = klstab.kldet._roots_from_inside
-    counted = []
-
-    def counting(*args):
-        counted.append(args[1])
-        return count(*args)
-
-    with patch, mock.patch.object(klstab.kldet, "_roots_from_inside", counting):
-        _, zs = klstab.kldet._initial_grid(256)
+    rouche_patch, counted = counting_rouche()
+    with patch, rouche_patch:
         klstab.kldet._stable_sigmas(template("lw5")(lam), zs)
-    assert seen == counted and len(seen) == selections
+    assert seen == [zs[0]] and counted == [(zs[0], 1)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -322,6 +322,33 @@ def test_extreme_custom_coefficients_are_invalid_without_warning(line, error):
         assert v.cauchy_max_modulus == np.inf
 
 
+@pytest.mark.parametrize(
+    "line, consistent",
+    [
+        ("1 1 0.3 0.5 0.2000000000005", "1 1 0.3 0.5 0.2"),
+        ("2 1 -0.05 0.4 0.5 0.15000000000002", "2 1 -0.05 0.4 0.5 0.15"),
+        # P_1 has a double root at kappa = 1, split by the defect
+        ("1 1 0.25 0.5 0.2500000000001", "1 1 0.25 0.5 0.25"),
+    ],
+)
+@pytest.mark.parametrize("spec", [(3, 0, 0.1), (2, 0, -0.3)])
+def test_a_consistency_defect_within_tolerance_keeps_the_consistent_verdict(
+    line, consistent, spec
+):
+    # the coefficients sum to 1 + 5e-13, 2e-14 and 1e-13, which construction
+    # accepts; kappa = 1 at z = 1 moves off the circle by about as much, and
+    # is still continued from inside, as for the scheme that sums to 1
+    verdicts = [
+        check(SchemeTemplate("custom", lambda lam, l=l: parse_scheme_line(l, lam)),
+              ReconstructionSpec(*spec), 0.5)
+        for l in (line, consistent)
+    ]
+    assert verdicts[0].certified
+    assert [(v.status, v.winding) for v in verdicts] == [
+        (verdicts[1].status, verdicts[1].winding)
+    ] * 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(check_inputs())
 def test_certified_verdict_holds_at_doubled_resolution(inputs):
