@@ -9,10 +9,6 @@ class NonConvergence(KLStabError):
     """An iterative solver failed to reach its tolerance within budget."""
 
 
-class BoundaryAmbiguity(KLStabError):
-    """A root lies too close to a counting-disk boundary to classify."""
-
-
 class SeparationFailure(KLStabError):
     """Root splitting across the unit circle did not produce (r, p) counts."""
 

@@ -8,8 +8,8 @@ and continuous up to it.  One rule picks the r roots at every |z| >= 1, by
 Smith's inclusion disks (``_inclusion_radii``): a connected component of
 overlapping disks wholly inside the circle is taken, one wholly outside is
 left, and one that meets the circle takes a Rouche count: nudge z radially
-outward by half the certified radius and count how many of its roots land
-inside the disk.  A lone root's re-solve starts from the roots at z.
+outward by half a radius that the disks certify and count how many of its
+roots land inside the disk.  A lone root's re-solve starts from the roots at z.
 
 Each kernel has one implementation over a batch of z values: the rows of P_z
 (``scheme.characteristic_polynomial``), the monic product (``_monic_product``),
@@ -41,7 +41,6 @@ import numpy as np
 
 from .boundary import BoundaryCondition, build_calB
 from .errors import (
-    BoundaryAmbiguity,
     CauchyViolation,
     MultipleRoot,
     RefinementExhausted,
@@ -72,13 +71,15 @@ class KLCurve:
         return len(self.thetas)
 
 
-def _disk_components(roots: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """(d, d) bool, [i, j] when disks i and j are in one overlapping component."""
-    reach = np.abs(roots[:, None] - roots[None, :]) <= radii[:, None] + radii[None, :]
+def _disk_components(roots: np.ndarray, radii: np.ndarray):
+    """(d, d) bool, [i, j] when disks i and j are in one overlapping component, and
+    each radius grown to hold its component, so that each disk holds one root."""
+    dist = np.abs(roots[:, None] - roots[None, :])
+    reach = dist <= radii[:, None] + radii[None, :]
     reach |= np.eye(len(roots), dtype=bool)
     for _ in range((len(roots) - 2).bit_length()):  # paths of up to d - 1 steps
         reach = reach @ reach
-    return reach
+    return reach, np.where(reach, dist + radii, 0.0).max(axis=1)
 
 
 def _inclusion_radii(s: Scheme, zs, rows: np.ndarray, roots: np.ndarray):
@@ -155,14 +156,14 @@ def select_stable_roots(s: Scheme, z: complex, roots, radii=None) -> np.ndarray:
 def _select(s, z, roots, radii):
     moduli = np.abs(roots)
     gap = moduli - 1.0  # exact near the circle, so one rounding decides all sides
-    reach = _disk_components(roots, radii)
+    reach, hull = _disk_components(roots, radii)
     meets = reach @ ~(np.abs(gap) > radii)  # the component meets the circle
     chosen = list(roots[(-gap > radii) & ~meets])
     for i in np.flatnonzero(meets):
         if reach[i, :i].any():  # one Rouche count per component, at its first root
             continue
         idx = np.flatnonzero(reach[i])
-        count = _roots_from_inside(s, z, roots, idx)
+        count = _roots_from_inside(s, z, roots, hull, idx)
         chosen.extend(sorted(roots[idx], key=lambda x: (abs(x), x.real, x.imag))[:count])
     if len(chosen) != s.r:
         raise CauchyViolation(
@@ -172,31 +173,29 @@ def _select(s, z, roots, radii):
     return chosen
 
 
-def _roots_from_inside(s, z, roots, cluster_idx) -> int:
+def _roots_from_inside(s, z, roots, radii, cluster_idx) -> int:
     """Count of a boundary cluster's roots that arrive from inside the disk.
 
-    P_z' at z' = (1 + eta/2) z is solved from the roots at z, less the exact
-    zeros, when the cluster is one root; a multi-root cluster starts cold.
-    Only the count is read from that solve.
+    The counting circle |kappa - c| = eps is about the members' mean c, at
+    most half way to another root.  Each disk of ``radii`` holds one root of
+    P_z, as ``_disk_components`` grows them, and each member's holds c, so
+    eta, the disks' bound of min |P_z| on the circle over (1 + eps)^r, is
+    positive only when every member's disk lies inside it and no other disk
+    meets it.  Then P_z' at z' = (1 + eta/2) z has as many roots inside it as
+    P_z (Rouche).  An eta of 0, or a nudge within the unit-circle band,
+    raises SelectionFailure.  A lone root's P_z' is solved from the roots at
+    z less the exact zeros, a multi-root cluster's cold; only the count is
+    read from that solve.
     """
     members = roots[cluster_idx]
     center = complex(np.mean(members))
     others = np.abs(np.delete(roots, cluster_idx) - center)
     eps = min(EPSILON_CAP, 0.5 * float(others.min())) if len(others) else EPSILON_CAP
-    spread = float(np.max(np.abs(members - center))) if len(members) > 1 else 0.0
-    if eps <= 2.0 * spread:
+    lead = characteristic_polynomial(s, z)[len(roots)]  # roots at infinity dropped
+    eta = (1.0 + eps) ** (-s.r) * min_modulus_on_circle(lead, roots, radii, center, eps)
+    if not (eta > 0.0 and (1.0 + eta / 2.0) * abs(z) > 1.0 + 2.0 * TOL_UNIT):
         raise SelectionFailure(
-            f"cannot isolate boundary cluster at {center}: radius {eps} vs spread {spread}"
-        )
-    p_z = characteristic_polynomial(s, z)
-    eta = (1.0 + eps) ** (-s.r) * min_modulus_on_circle(p_z, center, eps)
-    if eta == 0.0:
-        raise BoundaryAmbiguity(
-            f"a sampled point of the counting circle at {center} is an exact root"
-        )
-    if (1.0 + eta / 2.0) * abs(z) <= 1.0 + 2.0 * TOL_UNIT:
-        raise SelectionFailure(
-            f"perturbation radius eta={eta} too small to certify counts at z={z}"
+            f"cannot certify a count in |kappa - {center}| = {eps} at z={z}: eta={eta}"
         )
     z_out = (1.0 + eta / 2.0) * z
     # each root at z is within O(eta) of one at z'; the solver splits the

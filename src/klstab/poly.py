@@ -1,4 +1,4 @@
-"""Simultaneous root finding and min |p| on a circle for coefficient arrays.
+"""Simultaneous root finding, and a bound of min |p| on a circle from the roots.
 
 Roots are found by Aberth-Ehrlich simultaneous iteration.  Initial radii come
 from the Newton-diagram diagonal (adjacent coefficient ratios clipped to the
@@ -17,10 +17,7 @@ from .errors import NonConvergence
 
 ROOT_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
-ROUCHE_SAMPLES = 512
 _STEP_TOL = 1e-13
-_ROUCHE_CIRCLE = np.exp(np.linspace(0.0, 2j * np.pi, ROUCHE_SAMPLES, endpoint=False))
-_ROUCHE_CIRCLE.setflags(write=False)
 
 
 def _initial_guesses(monic_rows: np.ndarray) -> np.ndarray:
@@ -161,12 +158,8 @@ def find_roots_many(
         else:
             x[active] = xa
 
-        scale = np.zeros(x.shape, dtype=float)
-        ax = np.abs(x)
-        amonic = np.abs(monic)
-        for k in range(d + 1):
-            scale += amonic[:, k, None] * ax**k
-        resid = np.abs(_horner_many(monic, x)) / np.where(scale == 0, 1.0, scale)
+        p, scale = _horner_many(np.stack((monic, abs(monic))), np.stack((x, abs(x))))
+        resid = np.abs(p) / np.where(scale.real == 0, 1.0, scale.real)
         worst = resid.max()  # nan where a root's d-th power overflows
     if not np.isfinite(x).all() or not (worst <= ROOT_TOL):
         raise NonConvergence(
@@ -183,10 +176,12 @@ def find_roots(coeffs) -> np.ndarray:
     return find_roots_many(np.array([coeffs], dtype=complex))[0]
 
 
-def min_modulus_on_circle(coeffs, center: complex, radius: float) -> float:
-    """min |p| at ROUCHE_SAMPLES equispaced points of |x − center| = radius."""
+def min_modulus_on_circle(lead, roots, radii, center: complex, radius: float) -> float:
+    """A lower bound of |p| on |x - center| = radius, p = lead prod_j (x - xi_j),
+    each xi_j within radii[j] of roots[j]: |lead| prod_j max(0, ||roots[j] -
+    center| - radius| - radii[j]) less its rounding, 0 if a disk meets the circle."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    pts = center + radius * _ROUCHE_CIRCLE
-    vals = _horner_many(np.array([coeffs], dtype=complex), pts[None, :])
-    return float(np.abs(vals).min())
+    dist, u = np.abs(np.asarray(roots) - center), np.finfo(float).eps
+    gaps = np.abs(dist - radius) - radii - 4 * u * (dist + radius)
+    return float(abs(lead) * np.maximum(gaps, 0.0).prod() * (1 - u * len(gaps)))

@@ -16,10 +16,12 @@ from klstab.errors import (
     CauchyViolation,
     MultipleRoot,
     RefinementExhausted,
+    SelectionFailure,
     ShapeMismatch,
 )
 from klstab.kldet import (
     CLUSTER_TOL,
+    EPSILON_CAP,
     basis_matrices,
     delta,
     delta_reference,
@@ -30,7 +32,7 @@ from klstab.kldet import (
     sigmas_from_roots,
     write_curve_csv,
 )
-from klstab.poly import find_roots
+from klstab.poly import find_roots, min_modulus_on_circle
 from klstab.scheme import (
     TOL_UNIT,
     Scheme,
@@ -59,8 +61,14 @@ def radii_at(s, z, roots):
     return klstab.kldet._inclusion_radii(s, z, row, roots[None])[0]
 
 
+def hull_radii(s, z, roots):
+    """The radii _select hands the Rouche count: each inclusion disk grown to
+    hold its whole component, so that each holds one root of P_z."""
+    return klstab.kldet._disk_components(roots, radii_at(s, z, roots))[1]
+
+
 def disk_components(s, z, roots):
-    reach = klstab.kldet._disk_components(roots, radii_at(s, z, roots))
+    reach, _ = klstab.kldet._disk_components(roots, radii_at(s, z, roots))
     return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
 
@@ -73,9 +81,9 @@ def counting_rouche():
     count = klstab.kldet._roots_from_inside
     seen = []
 
-    def counting(s, z, roots, cluster_idx):
+    def counting(s, z, roots, radii, cluster_idx):
         seen.append((z, len(cluster_idx)))
-        return count(s, z, roots, cluster_idx)
+        return count(s, z, roots, radii, cluster_idx)
 
     return mock.patch.object(klstab.kldet, "_roots_from_inside", counting), seen
 
@@ -213,7 +221,7 @@ def _warm_and_cold_counts(monkeypatch):
     count = klstab.kldet._roots_from_inside
     seen = []
 
-    def warm_and_cold(s, z, roots, cluster_idx):
+    def warm_and_cold(s, z, roots, radii, cluster_idx):
         starts = []
 
         def warm_solve(rows, start=None):
@@ -224,9 +232,9 @@ def _warm_and_cold_counts(monkeypatch):
             return solve(rows)
 
         monkeypatch.setattr(klstab.kldet, "find_roots_many", warm_solve)
-        warm = count(s, z, roots, cluster_idx)
+        warm = count(s, z, roots, radii, cluster_idx)
         monkeypatch.setattr(klstab.kldet, "find_roots_many", cold_solve)
-        cold = count(s, z, roots, cluster_idx)
+        cold = count(s, z, roots, radii, cluster_idx)
         monkeypatch.setattr(klstab.kldet, "find_roots_many", solve)
         seen.append((starts == [True], warm, cold))
         return warm
@@ -279,8 +287,98 @@ def test_rouche_count_of_a_split_multiple_root_is_the_cold_count(monkeypatch):
     triple = Scheme(r=1, p=2, coeffs={-1: 0.125, 0: 0.625, 1: 0.375, 2: -0.125})
     roots = roots_at(triple, 1.0)
     assert np.max(np.abs(roots - 1.0)) <= 1e-4
-    assert klstab.kldet._roots_from_inside(triple, 1.0, roots, [0, 1, 2]) == 1
+    radii = hull_radii(triple, 1.0, roots)
+    assert klstab.kldet._roots_from_inside(triple, 1.0, roots, radii, [0, 1, 2]) == 1
     assert seen == [(False, 1, 1)] * 3
+
+
+def sampled_min_modulus(s, z, center, radius) -> float:
+    """min |P_z| at 4096 equispaced points of |kappa - center| = radius."""
+    pts = center + radius * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    row = characteristic_polynomial(s, z)
+    return float(np.abs(np.polynomial.polynomial.polyval(pts, row)).min())
+
+
+def leading_coefficient(s, z) -> complex:
+    return np.trim_zeros(characteristic_polynomial(s, z), "b")[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["upwind", "o3", "lw5", "naive_average", TRIPLE_ROOT_LINE]),
+    st.floats(0.01, 2.0),
+    st.floats(0.0, math.pi),
+    st.integers(0, 7),
+    st.floats(0.0, EPSILON_CAP, exclude_min=True),
+)
+@example(TRIPLE_ROOT_LINE, 0.5, 0.0, 0, EPSILON_CAP)
+@example("upwind", 0.015625, 1.0, 0, 0.0625)
+@example(TRIPLE_ROOT_LINE, 0.5, 1e-3, 1, 0.05)
+@example("naive_average", 0.5, 0.0, 0, EPSILON_CAP)
+@example("naive_average", 0.5, math.pi, 1, 1e-6)
+@example("o3", 1.0, 0.3, 2, EPSILON_CAP)
+def test_rouche_bound_is_at_most_the_sampled_minimum(name, lam, theta, which, eps):
+    # the disks' bound of min |P_z| on a circle about one of its roots never
+    # exceeds the minimum over 4096 points of that circle, at any z of the
+    # upper unit circle, with the disks grown to their components as _select
+    # grows them: the triple root and naive_average's double roots overlap.
+    # In the upwind example, a circle about its one root, the bound holds
+    # only because it also sheds its own rounding: it is within 1 ulp there
+    s = parse_scheme_line(name, lam) if " " in name else template(name)(lam)
+    z = complex(math.cos(theta), math.sin(theta))
+    roots = roots_at(s, z)
+    center = roots[which % len(roots)]
+    lead = leading_coefficient(s, z)
+    bound = min_modulus_on_circle(lead, roots, hull_radii(s, z, roots), center, eps)
+    assert bound <= sampled_min_modulus(s, z, center, eps)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.95, 0.98, 1.0, 2.0])
+@pytest.mark.parametrize("name, d", [("o3", 3), ("lw5", 5)])
+def test_rouche_bound_is_within_three_percent_of_the_sampled_minimum(
+    monkeypatch, name, d, lam
+):
+    # at every Rouche count kl_curve makes, the bound that sets eta is at most
+    # the 4096-point minimum of |P_z| on the counting circle and at least 0.97
+    # of it: no sampled minimum is needed, and the nudge is about as large
+    count, bound = klstab.kldet._roots_from_inside, klstab.kldet.min_modulus_on_circle
+    at, seen = [], []
+
+    def counting(s, z, roots, radii, cluster_idx):
+        at.append((s, z))
+        return count(s, z, roots, radii, cluster_idx)
+
+    def recording(lead, roots, radii, center, radius):
+        seen.append((*at[-1], center, radius, bound(lead, roots, radii, center, radius)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(klstab.kldet, "_roots_from_inside", counting)
+    monkeypatch.setattr(klstab.kldet, "min_modulus_on_circle", recording)
+    tmpl = template(name)
+    kl_curve(tmpl(lam), recon_bc(tmpl, lam, d, 0, 0.1))
+    assert len(seen) == len(at) >= 1
+    for s, z, center, radius, b in seen:
+        fine = sampled_min_modulus(s, z, center, radius)
+        assert 0.97 * fine <= b <= fine, (z, b / fine)
+
+
+@pytest.mark.parametrize(
+    "which, radius", [(2, 0.15), (1, 0.8)], ids=["member-leaves", "other-reaches"]
+)
+def test_select_refuses_a_count_its_disks_cannot_certify(which, radius):
+    # o3 at lambda 0.5, z = 1: the roots are -8.12, 0.123 and 1, and the count
+    # about kappa = 1 runs on the circle of radius EPSILON_CAP.  A disk of 0.15
+    # about kappa = 1 leaves that circle; one of 0.8 about 0.123, inside the
+    # unit circle and apart from kappa = 1's disk, reaches it (eta 0)
+    s = template("o3")(0.5)
+    roots = roots_at(s, 1.0)
+    assert abs(roots[2] - 1.0) < 1e-12 and abs(roots[1] - 1.0) > 0.85
+    radii = radii_at(s, 1.0, roots)
+    assert len(select_stable_roots(s, 1.0, roots, radii)) == s.r
+    radii[which] = radius
+    assert np.array_equal(klstab.kldet._disk_components(roots, radii)[0], np.eye(3))
+    with pytest.raises(SelectionFailure, match="cannot certify a count"):
+        select_stable_roots(s, 1.0, roots, radii)
 
 
 def _counting_selections():

@@ -98,20 +98,20 @@ def test_count_roots_o3_unit_disk_matches_brute_force():
 
 
 def test_min_modulus_identity():
-    assert min_modulus_on_circle([0, 1], 0.0, 1.0) == pytest.approx(1.0)
+    assert min_modulus_on_circle(1.0, [0.0], [0.0], 0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_min_modulus_shifted_linear():
-    assert min_modulus_on_circle([-1, 1], 1.0, 0.5) == pytest.approx(0.5)
+    assert min_modulus_on_circle(1.0, [1.0], [0.0], 1.0, 0.5) == pytest.approx(0.5)
 
 
 def test_min_modulus_oversampling_oracle():
-    # the ROUCHE_SAMPLES-point minimum against a 4096-point evaluation
-    p = [-1, 0, 1]
+    # the bound from the roots +-1 of x^2 - 1, each taken within 1e-4, against
+    # a 4096-point evaluation: never above it, and within 1e-3 of it
     pts = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
     fine = float(np.min(np.abs(pts**2 - 1)))
-    coarse = min_modulus_on_circle(p, 1.0, 0.5)
-    assert abs(coarse - fine) <= 1e-3 * fine
+    bound = min_modulus_on_circle(1.0, [-1.0, 1.0], [1e-4, 1e-4], 1.0, 0.5)
+    assert fine - 1e-3 * fine <= bound <= fine
 
 
 def test_roots_match_brute_force_random(rng):
