@@ -9,7 +9,9 @@ Smith's inclusion disks (``_inclusion_radii``): a connected component of
 overlapping disks wholly inside the circle is taken, one wholly outside is
 left, and one that meets the circle takes a Rouche count: nudge z radially
 outward by half a radius that the disks certify and count how many of its
-roots land inside the disk.  A lone root's re-solve starts from the roots at z.
+roots land inside the disk, a count that the disks at the nudged z certify.
+A lone root is moved there by one Newton step; a multi-root cluster is
+re-solved.
 
 Each kernel has one implementation over a batch of z values: the rows of P_z
 (``scheme.characteristic_polynomial``), the monic product (``_monic_product``),
@@ -135,8 +137,8 @@ def select_stable_roots(s: Scheme, z: complex, roots, radii=None) -> np.ndarray:
     ``roots`` holds every root of P_z; nothing is solved here, and ``radii``,
     their inclusion radii, are computed unless given.  A component of
     overlapping inclusion disks wholly inside the circle is taken, one wholly
-    outside is left, and one that meets the circle is resolved by re-solving
-    at z' = (1 + eta/2) z and counting its roots that land inside.  A count
+    outside is left, and one that meets the circle is resolved by moving its
+    roots to z' = (1 + eta/2) z and counting those that land inside.  A count
     other than r raises CauchyViolation: for |z| > 1 a whole-line-stable
     scheme has exactly r roots inside (Hersh).
     """
@@ -181,11 +183,13 @@ def _roots_from_inside(s, z, roots, radii, cluster_idx) -> int:
     P_z, as ``_disk_components`` grows them, and each member's holds c, so
     eta, the disks' bound of min |P_z| on the circle over (1 + eps)^r, is
     positive only when every member's disk lies inside it and no other disk
-    meets it.  Then P_z' at z' = (1 + eta/2) z has as many roots inside it as
-    P_z (Rouche).  An eta of 0, or a nudge within the unit-circle band,
-    raises SelectionFailure.  A lone root's P_z' is solved from the roots at
-    z less the exact zeros, a multi-root cluster's cold; only the count is
-    read from that solve.
+    meets it.  Then P_z' at z' = (1 + eta/2) z, outside the unit circle, has
+    as many roots inside it as P_z (Rouche).  The roots at z, a lone member
+    moved by one Newton step on P_z' (a multi-root cluster's P_z' is solved
+    cold), approximate those of P_z', and their inclusion disks certify the
+    count: each lies off the counting circle, as many inside it as members,
+    and each inside it off the unit circle.  An eta of 0, a z' not outside
+    the circle, or disks that certify no count raise SelectionFailure.
     """
     members = roots[cluster_idx]
     center = complex(np.mean(members))
@@ -193,23 +197,27 @@ def _roots_from_inside(s, z, roots, radii, cluster_idx) -> int:
     eps = min(EPSILON_CAP, 0.5 * float(others.min())) if len(others) else EPSILON_CAP
     lead = characteristic_polynomial(s, z)[len(roots)]  # roots at infinity dropped
     eta = (1.0 + eps) ** (-s.r) * min_modulus_on_circle(lead, roots, radii, center, eps)
-    if not (eta > 0.0 and (1.0 + eta / 2.0) * abs(z) > 1.0 + 2.0 * TOL_UNIT):
-        raise SelectionFailure(
-            f"cannot certify a count in |kappa - {center}| = {eps} at z={z}: eta={eta}"
-        )
     z_out = (1.0 + eta / 2.0) * z
-    # each root at z is within O(eta) of one at z'; the solver splits the
-    # exact zeros off again.  Walkers started on a split multiple root, whose
-    # disks form one component, separate slowly.
-    start = roots[roots != 0][None, :] if len(members) == 1 else None
-    p_out = characteristic_polynomial(s, np.array([z_out]))
-    moved = find_roots_many(p_out, start)[0]
-    count = int(np.sum((np.abs(moved - center) < eps) & (np.abs(moved) < 1.0)))
-    if count > len(members):
-        raise SelectionFailure(
-            f"perturbation count {count} exceeds cluster size {len(members)} at z={z}"
-        )
-    return count
+    if eta > 0.0 and abs(z_out) > 1.0:
+        row = characteristic_polynomial(s, z_out)
+        # unless a_0 - z or a_0 - z' is 0, P_z and P_z' share roots at 0 and inf
+        if len(members) == 1 and 0 not in (row[s.r], s.char_row[s.r] - z):
+            deriv = np.append(row[1:] * np.arange(1, len(row)), 0.0)
+            p, dp = _horner_many(np.stack((row, deriv)), members)
+            moved = roots.copy()
+            with np.errstate(divide="ignore", invalid="ignore"):  # nan: no certificate
+                moved[cluster_idx] = members - p / dp
+        else:
+            moved = find_roots_many(row[None])[0]
+        rad = _inclusion_radii(s, z_out, row[None], moved[None])[0]
+        dist, gap = np.abs(moved - center), np.abs(moved) - 1.0
+        inside = dist < eps
+        held = (np.abs(dist - eps) > rad).all() and inside.sum() == len(members)
+        if held and (np.abs(gap) > rad)[inside].all():
+            return int(np.sum(inside & (gap < 0.0)))
+    raise SelectionFailure(
+        f"cannot certify a count in |kappa - {center}| = {eps} at z={z}: eta={eta}"
+    )
 
 
 def reduce_Btilde(calB: np.ndarray, sigmas) -> np.ndarray:

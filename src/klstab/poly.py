@@ -51,37 +51,22 @@ def _horner_many(coeff_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _distinct_finite(points: np.ndarray) -> np.ndarray:
-    """Per row of (n, d) points: all finite and no two equal."""
-    ordered = np.sort(points, axis=1)
-    distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    return np.isfinite(points).all(axis=1) & distinct
-
-
-def find_roots_many(
-    coeff_rows: np.ndarray, start: np.ndarray | None = None
-) -> np.ndarray:
+def find_roots_many(coeff_rows: np.ndarray) -> np.ndarray:
     """Aberth-Ehrlich on a batch of same-degree polynomials.
 
     Parameters
     ----------
     coeff_rows : (n, d+1) complex array, ascending degree.
-    start : optional (n, d) array, one row of starting points per polynomial,
-        d the degree left once the exact roots below are split off.  A row
-        that is finite and pairwise distinct starts there; any other row, or
-        a start of another shape, starts from the Newton-diagram guesses,
-        because Aberth cannot separate walkers that start at one point.  A
-        start that every row can use skips the guesses.
 
     Columns of zeros shared by the whole batch are exact roots: at the bottom
     roots at 0, returned as 0, at the top roots at infinity, dropped (d counts
     what is left).  A coefficient that is not finite, or a row whose own
-    leading coefficient is zero, raises ValueError.  Each row iterates until
-    its own Aberth step falls below _STEP_TOL, so a row's roots depend only on
-    its coefficients and its start, bit for bit, whatever batch it is solved
-    in.  Raises NonConvergence when a monic row is not finite or a
-    backward-error residual max |P(x)| / sum_k |c_k||x|^k over a row's roots
-    exceeds ROOT_TOL.
+    leading coefficient is zero, raises ValueError.  Each row starts from its
+    Newton-diagram guesses and iterates until its own Aberth step falls below
+    _STEP_TOL, so a row's roots depend only on its coefficients, bit for bit,
+    whatever batch it is solved in.  Raises NonConvergence when a monic row is
+    not finite or a backward-error residual max |P(x)| / sum_k |c_k||x|^k over
+    a row's roots exceeds ROOT_TOL.
 
     Returns
     -------
@@ -115,13 +100,7 @@ def find_roots_many(
         if not np.isfinite(monic).all():  # a subnormal leading coefficient
             tiny = lead[np.argmin(np.abs(lead))]
             raise NonConvergence(f"dividing by leading coefficient {tiny:.3e} overflows")
-        if start is not None and np.shape(start) == (n, d):
-            x = np.array(start, dtype=complex)
-            cold = ~_distinct_finite(x)
-            if cold.any():
-                x[cold] = _initial_guesses(monic[cold])
-        else:
-            x = _initial_guesses(monic)
+        x = _initial_guesses(monic)
         # p and p' in one Horner pass: monic rows over derivative rows whose
         # top coefficient is a zero, one (2, n, 1) column per degree, top first
         stacked = np.zeros((d + 1, 2, n, 1), dtype=complex)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SeparationFailure
 
 CONSISTENCY_TOL = 1e-12
-TOL_UNIT = 1e-9  # hersh_split's band; kldet's |z| floor and least Rouche nudge
+TOL_UNIT = 1e-9  # hersh_split's band; kldet's |z| floor
 CAUCHY_SAMPLES = 4096
 CAUCHY_TOL = 1e-10
 

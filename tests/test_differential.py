@@ -71,9 +71,9 @@ def test_differential_compares_map_cells_as_verdicts(field, value, fails):
 
 def test_differential_counts_the_roots_that_differ_bit_for_bit():
     batches = [
-        {"scheme": "o3", "lam": 0.5, "radius": 2.0, "warm": False},
-        {"scheme": "lw5", "lam": 1.0, "radius": differential.WARM_RADIUS, "warm": True},
-        {"scheme": "upwind", "lam": 2.0, "radius": 1.0, "warm": False},
+        {"scheme": "o3", "lam": 0.5, "radius": 2.0},
+        {"scheme": "lw5", "lam": 1.0, "radius": 1.0 + 1e-4},
+        {"scheme": "upwind", "lam": 2.0, "radius": 1.0},
     ]
     a = _record(differential.check_inputs(1))
     a["root_inputs"] = batches

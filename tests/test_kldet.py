@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -214,33 +215,42 @@ def test_selection_is_the_inside_roots_just_outside_the_circle(
     assert taken == inside and sum(inside) == s.r
 
 
-def _warm_and_cold_counts(monkeypatch):
-    """Run every Rouche count twice, its re-solve started as kldet starts it
-    and cold; record (start given, warm count, cold count) per count."""
-    solve = klstab.kldet.find_roots_many
-    count = klstab.kldet._roots_from_inside
+def counts_and_cold_counts():
+    """Patch _roots_from_inside in kldet to record, per Rouche count, the
+    one-row solves it made, its count, and the count of a cold solve of the
+    same P_z' in the same counting circle, both read off the calls it makes."""
+    solve, radii = klstab.kldet.find_roots_many, klstab.kldet._inclusion_radii
+    bound, count = klstab.kldet.min_modulus_on_circle, klstab.kldet._roots_from_inside
     seen = []
 
-    def warm_and_cold(s, z, roots, radii, cluster_idx):
-        starts = []
+    def counted(s, z, roots, hull, cluster_idx):
+        calls = {"solves": 0}
 
-        def warm_solve(rows, start=None):
-            starts.append(start is not None)
-            return solve(rows, start)
-
-        def cold_solve(rows, start=None):
+        def counting_solve(rows):
+            calls["solves"] += 1
             return solve(rows)
 
-        monkeypatch.setattr(klstab.kldet, "find_roots_many", warm_solve)
-        warm = count(s, z, roots, radii, cluster_idx)
-        monkeypatch.setattr(klstab.kldet, "find_roots_many", cold_solve)
-        cold = count(s, z, roots, radii, cluster_idx)
-        monkeypatch.setattr(klstab.kldet, "find_roots_many", solve)
-        seen.append((starts == [True], warm, cold))
-        return warm
+        def circle(lead, roots, radii, center, radius):
+            calls["circle"] = center, radius
+            return bound(lead, roots, radii, center, radius)
 
-    monkeypatch.setattr(klstab.kldet, "_roots_from_inside", warm_and_cold)
-    return seen
+        def at_z_out(s, zs, rows, moved):
+            calls["row"] = rows
+            return radii(s, zs, rows, moved)
+
+        with mock.patch.multiple(
+            klstab.kldet,
+            find_roots_many=counting_solve,
+            min_modulus_on_circle=circle,
+            _inclusion_radii=at_z_out,
+        ):
+            n = count(s, z, roots, hull, cluster_idx)
+        (center, eps), cold = calls["circle"], solve(calls["row"])[0]
+        inside = (np.abs(cold - center) < eps) & (np.abs(cold) < 1.0)
+        seen.append((calls["solves"], n, int(inside.sum())))
+        return n
+
+    return mock.patch.object(klstab.kldet, "_roots_from_inside", counted), seen
 
 
 def _band_roots(s, zs) -> int:
@@ -262,34 +272,138 @@ def _band_roots(s, zs) -> int:
         ("lw5", 0.995, 7),
     ],
 )
-def test_rouche_count_started_from_the_roots_at_z_is_the_cold_count(
-    monkeypatch, name, lam, band
-):
-    # each Rouche count is of a lone root, so its re-solve starts from the
-    # roots at z, and counts as a cold one does.  At integer lambda every
-    # band root's disk meets the circle; near it, only kappa = 1 at z = 1 does
+def test_rouche_count_started_from_the_roots_at_z_is_the_cold_count(name, lam, band):
+    # each Rouche count is of a lone root, so it takes one Newton step from
+    # the roots at z and no solve, and counts as a cold solve of P_z' does.
+    # At integer lambda every band root's disk meets the circle; near it,
+    # only kappa = 1 at z = 1 does
     s = template(name)(lam)
     _, zs = klstab.kldet._initial_grid(256)
     assert _band_roots(s, zs) == band
-    seen = _warm_and_cold_counts(monkeypatch)
-    klstab.kldet._stable_sigmas(s, zs)
+    patch, seen = counts_and_cold_counts()
+    with patch:
+        klstab.kldet._stable_sigmas(s, zs)
     assert len(seen) == (band if lam in (1.0, 2.0) else 1)
-    assert all(started and warm == cold for started, warm, cold in seen)
+    assert all(solves == 0 and n == cold for solves, n, cold in seen)
 
 
-def test_rouche_count_of_a_split_multiple_root_is_the_cold_count(monkeypatch):
+def test_rouche_count_of_a_split_multiple_root_is_the_cold_count():
     # naive_average's double roots at z = +-1 and the triple root of
-    # (1 - kappa)^3 / 8 at z = 1: walkers on a split multiple root start cold
-    seen = _warm_and_cold_counts(monkeypatch)
+    # (1 - kappa)^3 / 8 at z = 1: a multi-root cluster's P_z' is solved cold
+    patch, seen = counts_and_cold_counts()
     s = template("naive_average")(0.5)
-    for z in (1.0, -1.0):
-        assert len(select_stable_roots(s, z, roots_at(s, z))) == 1
     triple = Scheme(r=1, p=2, coeffs={-1: 0.125, 0: 0.625, 1: 0.375, 2: -0.125})
     roots = roots_at(triple, 1.0)
     assert np.max(np.abs(roots - 1.0)) <= 1e-4
     radii = hull_radii(triple, 1.0, roots)
-    assert klstab.kldet._roots_from_inside(triple, 1.0, roots, radii, [0, 1, 2]) == 1
-    assert seen == [(False, 1, 1)] * 3
+    with patch:
+        for z in (1.0, -1.0):
+            assert len(select_stable_roots(s, z, roots_at(s, z))) == 1
+        count = klstab.kldet._roots_from_inside(triple, 1.0, roots, radii, [0, 1, 2])
+    assert count == 1 and seen == [(1, 1, 1)] * 3
+
+
+def test_a_count_beyond_the_reach_of_rouche_is_refused():
+    # upwind at lambda 3 has its one root kappa = 3 / (z + 2) = -1 on the
+    # circle at z = -5.  eta is set for |z| near 1; at |z| = 5 the root of
+    # P_z' at z' = -5.68 leaves the counting circle, which Rouche would not
+    # allow, so no count is certified
+    s = template("upwind")(3.0)
+    roots = roots_at(s, -5.0)
+    assert np.array_equal(roots, [-1.0])
+    with pytest.raises(SelectionFailure, match="cannot certify a count"):
+        select_stable_roots(s, -5.0, roots)
+
+
+def test_a_lone_root_where_a_0_is_z_is_counted_by_a_cold_solve():
+    # a_{-1} = 0 and a_0 = -1: at z = -1 the column a_0 - z of P_z is 0, so
+    # its roots 0, 0, -1 hold one zero more than P_z' has.  The lone root -1
+    # is counted from a cold solve of P_z', not moved by a Newton step; the
+    # zeros at z = -1 are inside too, one more than r
+    s = Scheme(r=1, p=2, coeffs={-1: 0.0, 0: -1.0, 1: 1.0, 2: 1.0})
+    roots = roots_at(s, -1.0)
+    assert np.count_nonzero(roots) == 1
+    patch, seen = counts_and_cold_counts()
+    with patch, pytest.raises(CauchyViolation):
+        select_stable_roots(s, -1.0, roots)
+    assert seen == [(1, 1, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["upwind", "o3", "lw5", "naive_average", TRIPLE_ROOT_LINE]),
+    st.one_of(st.floats(0.01, 2.0), st.sampled_from([1.0, 2.0])),
+    st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi])),
+)
+@example("o3", 1.0, 0.3)
+@example("lw5", 2.0, 2.0)
+@example("o3", 0.999, 0.0)
+@example("lw5", 1.0001, 0.0)
+@example("naive_average", 0.5, math.pi)
+@example(TRIPLE_ROOT_LINE, 0.5, 0.0)
+@example("upwind", 2.0, math.pi)
+def test_every_rouche_count_is_the_cold_count(name, lam, theta):
+    # at any z of the upper circle, each Rouche count, a lone root's by one
+    # Newton step or a cluster's by a cold solve, equals the count that a
+    # cold solve of the same P_z' gives.  Most random z take no count; z = 1
+    # always takes one (kappa = 1), and every z at integer lambda
+    s = parse_scheme_line(name, lam) if " " in name else template(name)(lam)
+    z = -1.0 if theta == math.pi else complex(math.cos(theta), math.sin(theta))
+    patch, seen = counts_and_cold_counts()
+    # Hersh fails at some lambda, and upwind's P_{-1} at lambda 2 is 2
+    with patch, contextlib.suppress(CauchyViolation, ValueError):
+        select_stable_roots(s, z, roots_at(s, z))
+    assert all(n == cold for _, n, cold in seen), seen
+
+
+@pytest.mark.parametrize(
+    "name, members, circle",
+    [("o3", 1, "counting"), ("o3", 1, "unit"), ("naive_average", 2, "unit")],
+    ids=["lone-counting", "lone-unit", "cluster"],
+)
+def test_rouche_count_refuses_a_disk_at_z_out_that_meets_a_circle(
+    monkeypatch, name, members, circle
+):
+    # at z = 1, lambda 0.5: o3 counts its lone root kappa = 1 after a Newton
+    # step, naive_average its split double root after a cold solve.  One disk
+    # at z' grown to meet the counting circle, or one inside it grown to meet
+    # the unit circle, and the count is not certified.  o3's disk grown to
+    # the counting circle is of 0.123, outside it, and its kappa = 1 grown to
+    # the unit circle stays inside the counting circle.  naive_average's
+    # roots at z' lie 0.07 from the center of a counting circle of 0.1, so a
+    # disk grown to the unit circle meets both
+    s = template(name)(0.5)
+    roots = roots_at(s, 1.0)
+    radii = radii_at(s, 1.0, roots)
+    patch, counted = counting_rouche()
+    with patch:
+        assert len(select_stable_roots(s, 1.0, roots, radii)) == s.r
+    assert counted == [(1.0, members)]
+    inclusion, bound = klstab.kldet._inclusion_radii, klstab.kldet.min_modulus_on_circle
+    at = {}
+
+    def recording(lead, roots, radii, center, radius):
+        at.update(center=center, eps=radius)
+        return bound(lead, roots, radii, center, radius)
+
+    def crafted(s, z_out, rows, moved):
+        rad, x = inclusion(s, z_out, rows, moved), moved[0]
+        dist = np.abs(x - at["center"])
+        inside = dist < at["eps"]
+        if circle == "counting":
+            i = np.argmin(np.where(inside, np.inf, dist)) if not inside.all() else 0
+            rad[0, i] = 1.01 * abs(dist[i] - at["eps"])
+        else:
+            i = np.flatnonzero(inside)[0]
+            rad[0, i] = 1.01 * abs(abs(x[i]) - 1.0)
+        at["only unit"] = (np.abs(dist - at["eps"]) > rad[0]).all()
+        return rad
+
+    monkeypatch.setattr(klstab.kldet, "min_modulus_on_circle", recording)
+    monkeypatch.setattr(klstab.kldet, "_inclusion_radii", crafted)
+    with pytest.raises(SelectionFailure, match="cannot certify a count"):
+        select_stable_roots(s, 1.0, roots, radii)
+    assert at["only unit"] == (circle == "unit" and members == 1)
 
 
 def sampled_min_modulus(s, z, center, radius) -> float:
@@ -507,16 +621,17 @@ def test_select_picks_from_the_given_roots():
 
 
 def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
-    # o3 at lambda = 1: every sample leaves the fast path; its only one-row
-    # solve is the Rouche re-solve, one per min_modulus_on_circle call.  The
-    # 127 samples below the real axis are conjugates of those above: 129 solves
+    # o3 at lambda = 1: every sample leaves the fast path and takes one
+    # Rouche count, one min_modulus_on_circle call, of a lone root, which
+    # moves by a Newton step and takes no one-row solve.  The 127 samples
+    # below the real axis are conjugates of those above: 129 counts
     counts = {"one_row_solves": 0, "rouche": 0}
     solve = klstab.kldet.find_roots_many
     rouche = klstab.kldet.min_modulus_on_circle
 
-    def counting_solve(rows, start=None):
+    def counting_solve(rows):
         counts["one_row_solves"] += len(rows) == 1
-        return solve(rows, start)
+        return solve(rows)
 
     def counting_rouche(*args):
         counts["rouche"] += 1
@@ -526,7 +641,7 @@ def test_kl_curve_solves_each_fallback_point_once(monkeypatch):
     monkeypatch.setattr(klstab.kldet, "min_modulus_on_circle", counting_rouche)
     tmpl = template("o3")
     kl_curve(tmpl(1.0), recon_bc(tmpl, 1.0, 3, 0, -0.4))
-    assert counts == {"one_row_solves": 129, "rouche": 129}
+    assert counts == {"one_row_solves": 0, "rouche": 129}
 
 
 @pytest.mark.parametrize(
@@ -538,9 +653,9 @@ def test_kl_curve_solves_each_conjugate_pair_once(monkeypatch, n_init, solved):
     batches = []
     solve = klstab.kldet.find_roots_many
 
-    def counting_solve(rows, start=None):
+    def counting_solve(rows):
         batches.append(len(rows))
-        return solve(rows, start)
+        return solve(rows)
 
     monkeypatch.setattr(klstab.kldet, "find_roots_many", counting_solve)
     tmpl = template("o3")

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-import klstab.poly
 from conftest import brute_roots
 from klstab.errors import NonConvergence
 from klstab.poly import find_roots, find_roots_many, min_modulus_on_circle
@@ -139,69 +138,6 @@ def test_find_roots_many_rows_are_batch_independent(name, lam):
     assert np.array_equal(full[3::7], sub)
     for i in range(len(zs)):
         assert np.array_equal(find_roots_many(rows[i : i + 1])[0], full[i]), i
-
-
-def _lw5_rows_and_roots():
-    zs = np.exp(1j * np.linspace(0.0, np.pi, 5))
-    rows = characteristic_polynomial(template("lw5")(0.7), zs)
-    return rows, find_roots_many(rows)
-
-
-def test_find_roots_many_starts_from_a_start_row():
-    # roots at z start the solve at a nearby z' and reach the cold solve's
-    # roots; a started row is solved alike alone and in a batch
-    rows, roots = _lw5_rows_and_roots()
-    moved = characteristic_polynomial(
-        template("lw5")(0.7), 1.001 * np.exp(1j * np.linspace(0.0, np.pi, 5))
-    )
-    warm, cold = find_roots_many(moved, roots), find_roots_many(moved)
-    assert np.max(np.abs(warm - cold)) <= 1e-12
-    for i in range(len(rows)):
-        alone = find_roots_many(moved[i : i + 1], roots[i : i + 1])[0]
-        assert alone.tobytes() == warm[i].tobytes(), i
-
-
-def _counting_guesses(monkeypatch):
-    """Record the number of rows of each _initial_guesses call."""
-    guesses = klstab.poly._initial_guesses
-    calls = []
-
-    def counting(monic_rows):
-        calls.append(len(monic_rows))
-        return guesses(monic_rows)
-
-    monkeypatch.setattr(klstab.poly, "_initial_guesses", counting)
-    return calls
-
-
-def test_find_roots_many_start_rows_it_cannot_use_start_cold(monkeypatch):
-    # two equal walkers never separate, and a point that is not finite goes
-    # nowhere: such a row starts from the Newton-diagram guesses, bit for bit,
-    # and so does every row of a start of another width; the guesses are
-    # taken for those rows only
-    rows, roots = _lw5_rows_and_roots()
-    cold = find_roots_many(rows)
-    start = roots + 1e-3
-    start[0, 1] = start[0, 3]
-    start[1, 2] = np.nan
-    start[2, 0] = np.inf
-    calls = _counting_guesses(monkeypatch)
-    warm = find_roots_many(rows, start)
-    for i in range(3):
-        assert warm[i].tobytes() == cold[i].tobytes(), i
-    assert np.max(np.abs(warm[3:] - cold[3:])) <= 1e-12
-    assert find_roots_many(rows, roots[:, 1:]).tobytes() == cold.tobytes()
-    assert calls == [3, len(rows)]
-
-
-def test_find_roots_many_start_every_row_can_use_skips_the_guesses(monkeypatch):
-    rows, roots = _lw5_rows_and_roots()
-    calls = _counting_guesses(monkeypatch)
-    find_roots_many(rows, roots + 1e-3)
-    find_roots_many(rows[:1], roots[:1])
-    assert calls == []
-    find_roots_many(rows)
-    assert calls == [len(rows)]
 
 
 def test_stable_complex_sort_is_the_real_then_imag_lexsort():

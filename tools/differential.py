@@ -6,7 +6,7 @@
 ``record`` imports klstab from <src-dir> and, with every warning raised as an
 error, runs COUNT seeded ``verdict._check`` inputs: upwind, o3 and lw5 in
 turn; lambda in [0.05, 1), exactly 1, or in (1, 2]; reconstruction boundaries
-R<d>,<k_d> or random ghost matrices B.  Then come six fixed lists:
+R<d>,<k_d> or random ghost matrices B.  Then come seven fixed lists:
 EXTRAPOLATION, the three pure-extrapolation checks (upwind R3,-1, o3 and lw5
 R2,-1), whose curves touch the origin at z = 1 and end marginal; ODD_SAMPLES,
 o3 at lambda = 1 and lw5, traced from 255 initial samples, an odd count, at
@@ -19,28 +19,28 @@ lambda 2, sigma 0.1, where coefficients at the ends of P_z vanish exactly
 (a_p, and a_{-3} for lw5 at lambda 2): roots at infinity and at 0 that the
 root finder splits off; PREBUILT, whose boundary reaches ``_check`` as a
 ``BoundaryCondition`` built on the scheme at the lambda it is checked at (o3
-R3,0, lw5 R5,0 and an upwind 1 x 2 ghost matrix); and ROUCHE, checks with
-several Rouche re-solves or a multiple root on the circle: lw5 R5,0 and R3,1
+R3,0, lw5 R5,0 and an upwind 1 x 2 ghost matrix); ROUCHE, checks with
+several Rouche counts or a multiple root on the circle: lw5 R5,0 and R3,1
 at lambda 0.95, 0.98 and 0.995, naive_average R2,0 at lambda 0.5, with double
 roots kappa = +-1 at z = +-1, and the scheme line ``1 2 0.125 0.625 0.375
--0.125``, whose P_1 = (1 - kappa)^3 / 8 has a triple root.  An input's
-``scheme`` is a template name or such a line.  An input traces N_INIT
-initial samples unless it names its own ``n_init``.  It then
-runs the sweeps of MAPS: o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from
-lambda 0.02, whose first row refines several cells on one shared scheme, and
-an o3 R3,0 4x4 over lambda 0.9..1.2, whose integer-CFL row and two
-Cauchy-invalid rows each read one Cauchy report that all the row's cells
-share.  The JSON it writes holds, per input, the status, winding, zeros,
-every diagnostic and the traced curve (thetas, values, depths); per map, its
-CSV text and, row-major, each cell's status, winding, zeros and diagnostics,
-recorded as a check's are.  A check that raises is recorded with status
-``raised <ExceptionType>`` and the message as its error.  Last come the
+-0.125``, whose P_1 = (1 - kappa)^3 / 8 has a triple root; and NEAR_INTEGER,
+o3 R3,0 and lw5 R5,0 at lambda 0.999, 0.9999, 1.0001, 1.001 and 2.0001,
+sigma 0.1, whose Rouche counts take the smallest and the largest nudges.  An
+input's ``scheme`` is a template name or such a line.  An input traces N_INIT
+initial samples unless it names its own ``n_init``.  It then runs the sweeps
+of MAPS: o3 R3,0 12x12, lw5 R5,0 8x6, an lw5 R5,0 8x8 from lambda 0.02,
+whose first row refines several cells on one shared scheme, and an o3 R3,0
+4x4 over lambda 0.9..1.2, whose integer-CFL row and two Cauchy-invalid rows
+each read one Cauchy report that all the row's cells share.  The JSON it
+writes holds, per input, the status, winding, zeros, every diagnostic and
+the traced curve (thetas, values, depths); per map, its CSV text and,
+row-major, each cell's status, winding, zeros and diagnostics, recorded as a
+check's are.  A check that raises is recorded with status ``raised
+<ExceptionType>`` and the message as its error.  Last come the
 ROOTS batches: ``find_roots_many`` on P_z of upwind, o3, lw5 and
 naive_average at each of ROOT_LAMBDAS, over the z of the initial grid times
-each of ROOT_RADII (on the circle, inside it and outside it), cold, and once
-more at WARM_RADIUS times the grid, started from the roots on the circle less
-their exact zeros.  Each batch is recorded as its roots' real and imaginary
-parts, or as the error it raised.
+each of ROOT_RADII (on the circle, inside it and outside it).  Each batch is
+recorded as its roots' real and imaginary parts, or as the error it raised.
 
 ``compare`` prints how many values differ in each field (a map cell's fields
 prefixed ``cell``), the largest relative difference of the curve values and of
@@ -105,6 +105,11 @@ ROUCHE = [
     {"scheme": "naive_average", "lam": 0.5, "recon": [2, 0, 0.1]},
     {"scheme": "1 2 0.125 0.625 0.375 -0.125", "lam": 0.5, "recon": [2, 0, 0.1]},
 ]
+NEAR_INTEGER = [
+    {"scheme": name, "lam": lam, "recon": [d, 0, 0.1]}
+    for name, d in (("o3", 3), ("lw5", 5))
+    for lam in (0.999, 0.9999, 1.0001, 1.001, 2.0001)
+]
 # name -> (scheme, d, k_d, lambda linspace, sigma linspace)
 MAPS = {
     "o3 R3,0 12x12": ("o3", 3, 0, (0.05, 1.0, 12), (-0.49, 0.49, 12)),
@@ -115,7 +120,6 @@ MAPS = {
 ROOT_SCHEMES = ("upwind", "o3", "lw5", "naive_average")
 ROOT_LAMBDAS = (0.3, 0.75, 0.95, 1.0, 2.0)
 ROOT_RADII = (1.0, 0.5, 2.0)
-WARM_RADIUS = 1.0 + 1e-4
 VERDICT = ("status", "winding", "zeros")
 CELL = "cell "  # prefix of a map cell's fields in the counts
 # Fields whose difference, like any map CSV's, makes ``compare`` fail.
@@ -228,12 +232,12 @@ def record_maps() -> tuple[dict[str, str], dict[str, list[dict]]]:
 
 
 def root_inputs() -> list[dict]:
-    """The ROOTS batches: cold at each of ROOT_RADII, then warm at WARM_RADIUS."""
+    """The ROOTS batches, one per scheme, lambda and each of ROOT_RADII."""
     return [
-        {"scheme": name, "lam": lam, "radius": radius, "warm": radius == WARM_RADIUS}
+        {"scheme": name, "lam": lam, "radius": radius}
         for name in ROOT_SCHEMES
         for lam in ROOT_LAMBDAS
-        for radius in ROOT_RADII + (WARM_RADIUS,)
+        for radius in ROOT_RADII
     ]
 
 
@@ -248,19 +252,18 @@ def record_roots(inp: dict) -> dict:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            start = None
-            if inp["warm"]:
-                at_z = find_roots_many(characteristic_polynomial(s, zs))
-                start = at_z[at_z != 0].reshape(len(zs), -1)
             rows = characteristic_polynomial(s, inp["radius"] * zs)
-            roots = find_roots_many(rows, start)
+            roots = find_roots_many(rows)
     except Exception as exc:  # a raise or a warning is an output to compare
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"re": roots.real.tolist(), "im": roots.imag.tolist()}
 
 
 def record() -> dict:
-    fixed = EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE + PREBUILT + ROUCHE
+    fixed = (
+        EXTRAPOLATION + ODD_SAMPLES + OVERFLOW + DEGENERATE + PREBUILT + ROUCHE
+        + NEAR_INTEGER
+    )
     inputs = check_inputs(COUNT) + fixed
     checks = [run_check(inp) for inp in inputs]
     csvs, cells = record_maps()
